@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
+from dataclasses import replace
 
 from .algebra import expansion_rows, StructureTable
 from .coxeter import CoxeterSpec, CoxeterSystem, DEFAULT_ELEMENT_CAP, build_system
@@ -47,14 +48,16 @@ def parse_group(text: str, cap: int | None) -> CoxeterSpec:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read matrix file {path}: {exc}") from None
-        matrix = data.get("m")
-        if matrix is None:
+        if not isinstance(data, dict):
+            raise UsageError(f"matrix file {path} must hold a JSON object")
+        if "m" not in data:
             raise UsageError(f"matrix file {path} has no 'm' entry")
+        spec = CoxeterSpec.from_matrix(
+            data["m"], element_cap=data.get("element_cap", DEFAULT_ELEMENT_CAP))
         rank = data.get("rank")
-        if rank is not None and rank != len(matrix):
-            raise UsageError(f"declared rank {rank} does not match the matrix")
-        file_cap = data.get("element_cap", DEFAULT_ELEMENT_CAP)
-        return CoxeterSpec.from_matrix(matrix, element_cap=cap_value if cap is not None else file_cap)
+        if rank is not None and (type(rank) is not int or rank != spec.rank):
+            raise UsageError(f"declared rank {rank!r} does not match the matrix")
+        return spec if cap is None else replace(spec, element_cap=cap)
     raise UsageError(f"cannot parse group {text!r} (expected S<n>, I<m> or matrix:<path>)")
 
 

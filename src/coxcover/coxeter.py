@@ -8,8 +8,16 @@ Conventions, fixed once and used everywhere:
   right multiplication by the generator with 0-based index ``s`` swaps
   positions s+1 and s+2 of the one-line form, and left multiplication
   swaps the values s+1 and s+2.
-- Dihedral and matrix-defined groups store each element as its canonical
-  reduced word, the lexicographically least one (see `words`).
+- Dihedral and matrix-defined groups store each element as its
+  lexicographically least reduced word.  They are enumerated in the
+  geometric (Tits) representation: the bilinear form
+  B(a_s, a_t) = -cos(pi/m(s, t)) (-1 for m = 0) must be positive definite,
+  else the group is infinite and the build raises CapExceeded before
+  enumerating.  Each generator permutes the finite root system, the orbit
+  of the simple roots, and an element is keyed by the images of the simple
+  roots.  Roots are told apart by rounding their Euclidean coordinates, so
+  exact checks on the permutations and on the longest element follow the
+  build; a failure raises InvariantViolation, never a wrong group.
 - Elements are indexed breadth-first by length from the identity, ties
   broken by lexicographic order of the stored form, so index 0 is the
   identity and indices are reproducible across runs.
@@ -33,7 +41,6 @@ from itertools import permutations
 from typing import Sequence
 
 from .errors import CapExceeded, InvalidSpec, InvariantViolation, NotADescent
-from .words import WordEngine
 
 DEFAULT_ELEMENT_CAP = 200_000
 
@@ -44,8 +51,8 @@ class CoxeterSpec:
 
     kind is one of "symmetric", "dihedral", "matrix".  For dihedral groups
     `order` is the order m of the product of the two generators (the group
-    has 2m elements).  Matrix entries give the orders m(s, t); 0 is
-    reserved for infinite order and makes enumeration hit the cap.
+    has 2m elements).  Matrix entries give the orders m(s, t) as ints; 0 is
+    reserved for infinite order and makes the build raise CapExceeded.
     """
 
     kind: str
@@ -64,8 +71,14 @@ class CoxeterSpec:
 
     @classmethod
     def from_matrix(cls, matrix, element_cap: int = DEFAULT_ELEMENT_CAP) -> CoxeterSpec:
-        rows = tuple(tuple(int(x) for x in row) for row in matrix)
-        return cls(kind="matrix", matrix=rows, element_cap=element_cap)
+        """Validated spec of a matrix given as a list of rows of ints."""
+        if not isinstance(matrix, (list, tuple)) or not all(
+                isinstance(row, (list, tuple)) for row in matrix):
+            raise InvalidSpec("matrix must be a list of rows")
+        spec = cls(kind="matrix", matrix=tuple(tuple(row) for row in matrix),
+                   element_cap=element_cap)
+        spec.validate()
+        return spec
 
     @property
     def rank(self) -> int:
@@ -94,8 +107,8 @@ class CoxeterSpec:
         return f"matrix(rank={self.rank})"
 
     def validate(self) -> None:
-        if self.element_cap < 1:
-            raise InvalidSpec("element_cap must be positive")
+        if type(self.element_cap) is not int or self.element_cap < 1:
+            raise InvalidSpec("element_cap must be a positive integer")
         if self.kind == "symmetric":
             if self.n < 1:
                 raise InvalidSpec("symmetric group needs n >= 1")
@@ -109,6 +122,8 @@ class CoxeterSpec:
                 raise InvalidSpec("matrix must have positive rank")
             if any(len(row) != r for row in m):
                 raise InvalidSpec("matrix must be square")
+            if any(type(x) is not int for row in m for x in row):
+                raise InvalidSpec("matrix entries must be integers")
             for i in range(r):
                 if m[i][i] != 1:
                     raise InvalidSpec("matrix diagonal entries must be 1")
@@ -177,7 +192,8 @@ class CoxeterSystem:
     """
 
     def __init__(self, spec: CoxeterSpec, elements: list[tuple[int, ...]],
-                 right_cayley: list[list[int]]):
+                 left_cayley: list[list[int]], right_cayley: list[list[int]],
+                 inverse_index: list[int]):
         self.spec = spec
         self.kind = spec.kind
         self.rank = spec.rank
@@ -189,11 +205,11 @@ class CoxeterSystem:
             self.lengths = [_inversions(p) for p in elements]
         else:
             self.lengths = [len(w) for w in elements]
+        self.left_cayley = left_cayley
         self.right_cayley = right_cayley
-        self.gen_index = self._generator_indices()
+        self.inverse_index = inverse_index
+        self.gen_index = list(left_cayley[0])  # s * identity
         self.gen_of = {idx: s for s, idx in enumerate(self.gen_index)}
-        self.left_cayley = self._build_left_cayley()
-        self.inverse_index = self._build_inverses()
         self.recoils = self._mask_table(self.left_cayley)
         self.descents = self._mask_table(self.right_cayley)
         self.longest_index = self._find_longest()
@@ -201,50 +217,6 @@ class CoxeterSystem:
         self._loop_cache: dict[int, object] = {}
 
     # -- construction helpers ------------------------------------------------
-
-    def _generator_indices(self) -> list[int]:
-        if self.kind == "symmetric":
-            gens = []
-            for s in range(self.rank):
-                p = list(range(1, self.n + 1))
-                p[s], p[s + 1] = p[s + 1], p[s]
-                gens.append(self.index[tuple(p)])
-            return gens
-        return [self.index[(s,)] for s in range(self.rank)]
-
-    def _build_left_cayley(self) -> list[list[int]]:
-        if self.kind == "symmetric":
-            table = []
-            for p in self.elements:
-                row = []
-                for s in range(self.rank):
-                    a, b = s + 1, s + 2
-                    q = tuple(b if v == a else a if v == b else v for v in p)
-                    row.append(self.index[q])
-                table.append(row)
-            return table
-        # s*w is the walk from the generator along w's canonical word
-        table = []
-        for word in self.elements:
-            row = []
-            for s in range(self.rank):
-                i = self.gen_index[s]
-                for t in word:
-                    i = self.right_cayley[i][t]
-                row.append(i)
-            table.append(row)
-        return table
-
-    def _build_inverses(self) -> list[int]:
-        if self.kind == "symmetric":
-            return [self.index[_invert_oneline(p)] for p in self.elements]
-        out = []
-        for word in self.elements:
-            i = 0
-            for t in reversed(word):
-                i = self.right_cayley[i][t]
-            out.append(i)
-        return out
 
     def _mask_table(self, cayley: list[list[int]]) -> list[int]:
         masks = []
@@ -407,11 +379,14 @@ class CoxeterSystem:
 
 def _build_symmetric(spec: CoxeterSpec) -> CoxeterSystem:
     n = spec.n
-    if math.factorial(n) > spec.element_cap:
-        raise CapExceeded(f"|S{n}| = {math.factorial(n)} exceeds element_cap {spec.element_cap}")
+    size = 1
+    for k in range(2, n + 1):  # stops at the first k! over the cap, so huge n ends fast
+        size *= k
+        if size > spec.element_cap:
+            raise CapExceeded(f"|S{n}| >= {size} exceeds element_cap {spec.element_cap}")
     elements = sorted(permutations(range(1, n + 1)), key=lambda p: (_inversions(p), p))
     index = {p: i for i, p in enumerate(elements)}
-    right = []
+    right, left = [], []
     for p in elements:
         row = []
         for s in range(n - 1):
@@ -419,43 +394,211 @@ def _build_symmetric(spec: CoxeterSpec) -> CoxeterSystem:
             q[s], q[s + 1] = q[s + 1], q[s]
             row.append(index[tuple(q)])
         right.append(row)
-    return CoxeterSystem(spec, list(elements), right)
+        row = []
+        for s in range(n - 1):
+            a, b = s + 1, s + 2
+            row.append(index[tuple(b if v == a else a if v == b else v for v in p)])
+        left.append(row)
+    inverse = [index[_invert_oneline(p)] for p in elements]
+    return CoxeterSystem(spec, list(elements), left, right, inverse)
 
 
-def _build_words(spec: CoxeterSpec) -> CoxeterSystem:
-    rank = spec.rank
-    engine = WordEngine(spec.coxeter_matrix())
-    elements: list[tuple[int, ...]] = [()]
-    index: dict[tuple[int, ...], int] = {(): 0}
-    right: list[list[int]] = [[-1] * rank]
-    level = [0]
-    while level:
-        grown: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for u in level:
-            wu = elements[u]
-            for s in range(rank):
-                if right[u][s] != -1:
-                    continue  # already linked: this step shortens
-                cw = engine.canonical(wu + (s,))
-                if len(cw) != len(wu) + 1:
-                    raise InvariantViolation("BFS reached a shorter word without a back link")
-                grown.setdefault(cw, []).append((u, s))
-        level = []
-        for cw in sorted(grown):
-            if len(elements) >= spec.element_cap:
+# Roots are told apart by their Euclidean coordinates rounded to this many
+# cells per unit.  Two copies of one root computed along different paths
+# differ by rounding error only; distinct roots of any group within reach
+# lie far more than a cell apart (in I_m they are about pi/m apart).  The
+# error grows with long orbits: I_50000 still builds its roots, I_100000
+# fails the exact checks.
+_CELLS_PER_UNIT = 1e7
+# A root within this fraction of a cell of a cell edge is filed in the
+# neighbouring cell too, so a copy that rounds the other way still finds it.
+_NEAR_EDGE = 0.1
+# For a finite W every Cholesky pivot of B is at least its smallest
+# eigenvalue, 1 - cos(pi/h) with h < |W| the Coxeter number: above 1e-10
+# for every |W| within the default cap.
+_PIVOT_TOL = 1e-12
+
+
+def _bilinear_form(matrix: tuple[tuple[int, ...], ...]) -> list[list[float]]:
+    """B(a_s, a_t) = -cos(pi/m(s, t)), with -1 for m = 0 and an exact 0 for m = 2."""
+    def entry(m: int) -> float:
+        if m == 0 or m >= 2**53:  # cos(pi/m) rounds to 1 from 2**53 on; pi/m may overflow
+            return -1.0
+        return 0.0 if m == 2 else -math.cos(math.pi / m)
+
+    return [[entry(m) for m in row] for row in matrix]
+
+
+def _simple_roots(spec: CoxeterSpec) -> list[list[float]]:
+    """Rows of the Cholesky factor L of B = L L^T: unit simple roots in
+    Euclidean coordinates whose dot product is B.  W is finite iff B is
+    positive definite, so a pivot that is not positive ends the build."""
+    form = _bilinear_form(spec.coxeter_matrix())
+    r = len(form)
+    low = [[0.0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i + 1):
+            acc = form[i][j] - sum(low[i][k] * low[j][k] for k in range(j))
+            if j < i:
+                low[i][j] = acc / low[j][j]
+            elif acc > _PIVOT_TOL:
+                low[i][i] = math.sqrt(acc)
+            else:
                 raise CapExceeded(
-                    f"enumeration exceeded element_cap {spec.element_cap}; "
-                    "the group is infinite or too large"
-                )
+                    f"the bilinear form of {spec.describe()} is not positive definite: "
+                    f"the group is infinite or too large for element_cap {spec.element_cap}")
+    return low
+
+
+def _cell_keys(v: list[float]) -> list[tuple[int, ...]]:
+    """The grid cell of v first, then each neighbouring cell across an edge
+    that v lies within _NEAR_EDGE of."""
+    keys: list[tuple[int, ...]] = [()]
+    for x in v:
+        scaled = x * _CELLS_PER_UNIT
+        k = round(scaled)
+        off = scaled - k
+        if abs(off) > 0.5 - _NEAR_EDGE:
+            other = k + 1 if off > 0 else k - 1
+            keys = [key + (k,) for key in keys] + [key + (other,) for key in keys]
+        else:
+            keys = [key + (k,) for key in keys]
+    return keys
+
+
+def _root_action(spec: CoxeterSpec, largest: int) -> list[list[int]]:
+    """Each generator as a permutation of root ids; the roots are the orbit
+    of the simple roots, and simple root s has id s.  `largest` is the
+    largest entry of the Coxeter matrix."""
+    simple = _simple_roots(spec)
+    roots: list[list[float]] = []
+    cells: dict[tuple[int, ...], int] = {}
+
+    def find(v: list[float]) -> int:
+        hit = cells.get(tuple(round(x * _CELLS_PER_UNIT) for x in v))
+        if hit is None:
+            hit = len(roots)
+            roots.append(v)
+            for key in _cell_keys(v):
+                cells.setdefault(key, hit)
+        return hit
+
+    for a in simple:
+        find(a)
+    # B is positive definite, so W is finite and each irreducible component
+    # of rank k has k*h roots, its Coxeter number h being at most 2k, 30 or
+    # the largest m(s, t); more roots than that means copies of one root
+    # were filed apart
+    rank = len(simple)
+    most = rank * max(2 * rank, 30, largest)
+    perms: list[list[int]] = [[] for _ in simple]
+    i = 0
+    while i < len(roots):
+        if len(roots) > most:
+            raise InvariantViolation(f"root identification failed: more than {most} roots")
+        v = roots[i]
+        for s, a in enumerate(simple):
+            c = 2 * sum(x * y for x, y in zip(v, a))
+            perms[s].append(find([x - c * y for x, y in zip(v, a)]))
+        i += 1
+    return perms
+
+
+def _product_order(p: list[int], q: list[int]) -> int:
+    """Order of the permutation i -> p[q[i]]."""
+    seen = [False] * len(p)
+    order = 1
+    for start in range(len(p)):
+        i, size = start, 0
+        while not seen[i]:
+            seen[i] = True
+            i = p[q[i]]
+            size += 1
+        if size:
+            order = math.lcm(order, size)
+    return order
+
+
+def _check_root_action(matrix: tuple[tuple[int, ...], ...], perms: list[list[int]]) -> None:
+    """Exact checks on what rounding produced: every generator permutes the
+    roots as an involution and every product st has order m(s, t)."""
+    for s, p in enumerate(perms):
+        if any(p[p[i]] != i for i in range(len(p))):
+            raise InvariantViolation(
+                f"root identification failed: generator {s + 1} does not act as an involution")
+        for t in range(s + 1, len(perms)):
+            order = _product_order(p, perms[t])
+            if order != matrix[s][t]:
+                raise InvariantViolation(
+                    f"root identification failed: generators {s + 1} and {t + 1} "
+                    f"act with order {order}, not {matrix[s][t]}")
+
+
+def _build_from_roots(spec: CoxeterSpec) -> CoxeterSystem:
+    rank = spec.rank
+    cap = spec.element_cap
+    matrix = spec.coxeter_matrix()
+    # generators s, t with m(s, t) = m span a dihedral subgroup of order 2m
+    largest = max(max(row) for row in matrix)
+    if 2 * largest > cap:
+        raise CapExceeded(f"|{spec.describe()}| >= {2 * largest} exceeds element_cap {cap}")
+    perms = _root_action(spec, largest)
+    _check_root_action(matrix, perms)
+    # breadth-first by length with left multiplication; an element w is
+    # keyed by the root ids of w(a_1), ..., w(a_rank)
+    keys = [tuple(range(rank))]
+    known = {keys[0]}
+    elements: list[tuple[int, ...]] = [()]
+    left: list[list[int]] = [[-1] * rank]
+    level = [0]
+    while True:
+        grown: dict[tuple[int, ...], dict[int, int]] = {}
+        for u in level:
+            ku = keys[u]
+            for s in range(rank):
+                if left[u][s] != -1:
+                    continue  # already linked: s*u is shorter
+                p = perms[s]
+                k = tuple([p[x] for x in ku])
+                if k in known:
+                    raise InvariantViolation("root identification failed: BFS reached "
+                                             "a known element without a back link")
+                grown.setdefault(k, {})[s] = u
+        if not grown:
+            break
+        if len(elements) + len(grown) > cap:
+            raise CapExceeded(f"{spec.describe()} has more than {cap} elements, "
+                              f"so it exceeds element_cap {cap}")
+        # each s in links is a recoil; the lex-least reduced word starts
+        # with the smallest one and continues with the word of s*w
+        fresh = []
+        for k, links in grown.items():
+            s = min(links)
+            fresh.append(((s,) + elements[links[s]], k))
+        fresh.sort()
+        level = []
+        for word, k in fresh:
             idx = len(elements)
-            elements.append(cw)
-            index[cw] = idx
-            right.append([-1] * rank)
-            for u, s in grown[cw]:
-                right[u][s] = idx
-                right[idx][s] = u
+            elements.append(word)
+            keys.append(k)
+            known.add(k)
+            left.append([-1] * rank)
+            for s, u in grown[k].items():
+                left[u][s] = idx
+                left[idx][s] = u
             level.append(idx)
-    return CoxeterSystem(spec, elements, right)
+    if len(level) != 1 or 2 * len(elements[-1]) != len(perms[0]):
+        raise InvariantViolation("root identification failed: the longest element is not "
+                                 "unique or its length is not half the number of roots")
+    # w^-1 = a_k ... a_1 for the word a_1 ... a_k of w, and w*s = (s*w^-1)^-1
+    inverse = []
+    for word in elements:
+        j = 0
+        for t in word:
+            j = left[j][t]
+        inverse.append(j)
+    right = [[inverse[left[inverse[i]][s]] for s in range(rank)] for i in range(len(elements))]
+    return CoxeterSystem(spec, elements, left, right, inverse)
 
 
 def build_system(spec: CoxeterSpec) -> CoxeterSystem:
@@ -463,7 +606,7 @@ def build_system(spec: CoxeterSpec) -> CoxeterSystem:
     spec.validate()
     if spec.kind == "symmetric":
         return _build_symmetric(spec)
-    return _build_words(spec)
+    return _build_from_roots(spec)
 
 
 if __name__ == "__main__":

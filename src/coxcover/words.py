@@ -9,6 +9,13 @@ factor ``ababab...`` of length m(a, b) by ``bababa...``.
 The canonical form of an element is the lexicographically least word in the
 braid-move closure of any of its reduced words.  Matrix entries equal to 0
 mean infinite order, i.e. no braid move exists for that pair.
+
+The library does not enumerate with `WordEngine`: `coxeter` works in the
+root system.  `WordEngine` is a test-only reference, the independent route
+the tests check enumeration against (`tests/support.reference_words`).  It
+also stays because the benchmark tracer (`perfbench/tracer.py`) binds
+`WordEngine.canonical` and `WordEngine.braid_closure` by name.
+`alternating` is used by `monodromy`.
 """
 
 from __future__ import annotations

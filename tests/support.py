@@ -6,6 +6,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from coxcover.gensets import from_one_based
+from coxcover.words import WordEngine
 
 
 def subset(*one_based: int) -> int:
@@ -48,3 +49,34 @@ def oracle_class_edges(n: int, recoils: tuple[int, ...]) -> list[tuple]:
 
 def oracle_inversions(p: tuple[int, ...]) -> int:
     return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
+
+
+def reference_words(matrix) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """Elements and right Cayley table of the group of a Coxeter matrix,
+    enumerated breadth-first from the canonical words of the braid-move
+    engine.  Same indexing as `build_system`, but no roots involved."""
+    rank = len(matrix)
+    engine = WordEngine(tuple(tuple(row) for row in matrix))
+    elements: list[tuple[int, ...]] = [()]
+    right: list[list[int]] = [[-1] * rank]
+    level = [0]
+    while level:
+        grown: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for u in level:
+            wu = elements[u]
+            for s in range(rank):
+                if right[u][s] != -1:
+                    continue  # already linked: this step shortens
+                cw = engine.canonical(wu + (s,))
+                assert len(cw) == len(wu) + 1, "a shorter word without a back link"
+                grown.setdefault(cw, []).append((u, s))
+        level = []
+        for cw in sorted(grown):
+            idx = len(elements)
+            elements.append(cw)
+            right.append([-1] * rank)
+            for u, s in grown[cw]:
+                right[u][s] = idx
+                right[idx][s] = u
+            level.append(idx)
+    return elements, right

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys as _sys
+import time
 
 import pytest
 
@@ -143,6 +144,47 @@ def test_cap_flag_overrides_matrix_file(tmp_path, capsys):
     path.write_text(json.dumps({"rank": 2, "m": [[1, 0], [0, 1]]}))
     code, _ = run_cli(capsys, "--cap", "30", "table", "--group", f"matrix:{path}")
     assert code == 3
+
+
+MALFORMED_MATRIX_FILES = [
+    ("top-level list", [[1, 3], [3, 1]]),
+    ("string matrix", {"m": "abc"}),
+    ("number matrix", {"m": 5}),
+    ("flat list", {"m": [1, 2]}),
+    ("string cap", {"m": [[1, 3], [3, 1]], "element_cap": "100"}),
+    ("zero cap", {"m": [[1, 3], [3, 1]], "element_cap": 0}),
+    ("bool cap", {"m": [[1, 3], [3, 1]], "element_cap": True}),
+    ("float entry", {"m": [[1, 2.5], [2.5, 1]]}),
+    ("bool entries", {"m": [[True, 3], [3, True]]}),
+    ("null entries", {"m": [[1, None], [None, 1]]}),
+    ("string entries", {"m": [["1", "3"], ["3", "1"]]}),
+    ("rank mismatch", {"rank": 3, "m": [[1, 3], [3, 1]]}),
+    ("bool rank", {"rank": True, "m": [[1]]}),
+    ("no matrix", {"rank": 2}),
+    ("empty matrix", {"m": []}),
+    ("negative entry", {"m": [[1, -3], [-3, 1]]}),
+]
+
+
+@pytest.mark.parametrize("label, content", MALFORMED_MATRIX_FILES,
+                         ids=[label for label, _ in MALFORMED_MATRIX_FILES])
+def test_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, label, content):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(content))
+    code = main(["verify", "--group", f"matrix:{path}"])
+    captured = capsys.readouterr()
+    assert code == 2, label
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("group", ["I1000000", "S10000000"])
+def test_huge_named_groups_refused_fast(capsys, group):
+    start = time.perf_counter()
+    code = main(["cover", "--group", group, "--left", "1", "--right", "1", "--target", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_deterministic_output(capsys):

@@ -1,18 +1,39 @@
 from __future__ import annotations
 
+import json
+import time
+from pathlib import Path
+
 import pytest
 
 from coxcover import (
     CapExceeded,
     CoxeterSpec,
     InvalidSpec,
+    InvariantViolation,
     NotADescent,
     build_system,
+    coxeter,
     positional_recoils,
 )
 from coxcover.gensets import one_based
 
-from .support import compose, oracle_inversions, oracle_recoils, perm
+from .conftest import A3_MATRIX, B3_MATRIX, H3_MATRIX
+from .support import compose, oracle_inversions, oracle_recoils, perm, reference_words
+
+A2_AFFINE_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "groups" / "A2_affine.json"
+
+
+def chain(*orders: int) -> list[list[int]]:
+    """Coxeter matrix of a linear diagram whose edges carry the given orders."""
+    r = len(orders) + 1
+    m = [[1 if i == j else 2 for j in range(r)] for i in range(r)]
+    for i, order in enumerate(orders):
+        m[i][i + 1] = m[i + 1][i] = order
+    return m
+
+
+D4_MATRIX = [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]]
 
 
 def test_symmetric_4_shape(s4):
@@ -88,6 +109,103 @@ def test_element_cap():
 def test_infinite_matrix_entry_hits_cap():
     with pytest.raises(CapExceeded):
         build_system(CoxeterSpec.from_matrix([[1, 0], [0, 1]], element_cap=50))
+
+
+@pytest.mark.parametrize("name", ["A2_affine", "free", "triangle_2_3_7"])
+def test_infinite_matrices_end_fast_at_default_cap(name):
+    matrix = {
+        "A2_affine": json.loads(A2_AFFINE_FILE.read_text())["m"],
+        "free": [[1, 0], [0, 1]],
+        "triangle_2_3_7": [[1, 2, 3], [2, 1, 7], [3, 7, 1]],
+    }[name]
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        build_system(CoxeterSpec.from_matrix(matrix))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_large_entries_refused_before_enumerating():
+    # a pair with m(s, t) = m spans a dihedral subgroup of 2m elements
+    # (huge I<m> and S<n> are covered through the CLI)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        build_system(CoxeterSpec.from_matrix([[1, 2, 2], [2, 1, 10**6], [2, 10**6, 1]]))
+    # within the cap, but too large for a float
+    with pytest.raises(CapExceeded):
+        build_system(CoxeterSpec.from_matrix([[1, 10**400], [10**400, 1]], element_cap=10**401))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("name, matrix", [
+    *((f"I{m}", [[1, m], [m, 1]]) for m in range(2, 13)),
+    ("A3", A3_MATRIX), ("A4", chain(3, 3, 3)), ("B3", B3_MATRIX), ("H3", H3_MATRIX),
+    ("D4", D4_MATRIX),
+])
+def test_root_enumeration_matches_braid_reference(name, matrix):
+    system = build_system(CoxeterSpec.from_matrix(matrix))
+    elements, right = reference_words(matrix)
+    assert system.elements == elements
+    assert system.right_cayley == right
+
+
+@pytest.mark.parametrize("matrix, order, top", [
+    (chain(3, 4, 3), 1152, 24),     # F4
+    (chain(5, 3, 3), 14400, 60),    # H4
+    ([[1, 1000], [1000, 1]], 2000, 1000),
+])
+def test_large_group_orders(matrix, order, top):
+    system = build_system(CoxeterSpec.from_matrix(matrix))
+    assert len(system) == order
+    assert system.lengths[system.longest_index] == top
+
+
+@pytest.mark.parametrize("cells, matrix", [
+    (1.0, H3_MATRIX),          # coarse: distinct roots share a cell
+    (1.0, [[1, 7], [7, 1]]),   # only the order check sees this one
+    (2.0, [[1, 7], [7, 1]]),
+    (1e16, H3_MATRIX),         # finer than rounding error: copies of one root split
+    (1e16, [[1, 7], [7, 1]]),
+])
+def test_root_misidentification_is_an_invariant_violation(monkeypatch, cells, matrix):
+    # the exact checks must refuse the result, never return a wrong group
+    # or a false CapExceeded
+    monkeypatch.setattr(coxeter, "_CELLS_PER_UNIT", cells)
+    with pytest.raises(InvariantViolation, match="root identification"):
+        build_system(CoxeterSpec.from_matrix(matrix))
+
+
+def test_root_action_checks():
+    # A1 x A1 on its four roots: s swaps roots 0 and 2, t swaps 1 and 3
+    perms = [[2, 1, 0, 3], [0, 3, 2, 1]]
+    coxeter._check_root_action(((1, 2), (2, 1)), perms)
+    with pytest.raises(InvariantViolation, match="order 2, not 4"):
+        coxeter._check_root_action(((1, 4), (4, 1)), perms)
+    with pytest.raises(InvariantViolation, match="involution"):
+        coxeter._check_root_action(((1, 2), (2, 1)), [[2, 0, 1, 3], [0, 3, 2, 1]])
+
+
+def test_longest_element_check(monkeypatch):
+    # an action that satisfies the relations but has two points too many
+    monkeypatch.setattr(coxeter, "_root_action",
+                        lambda spec, largest: [[2, 1, 0, 3, 4, 5], [0, 3, 2, 1, 4, 5]])
+    with pytest.raises(InvariantViolation, match="longest"):
+        build_system(CoxeterSpec.from_matrix([[1, 2], [2, 1]]))
+
+
+def test_roots_near_a_cell_edge_are_filed_on_both_sides():
+    # two copies of one root that round to either side still meet
+    edge = 0.5 / coxeter._CELLS_PER_UNIT
+    below = coxeter._cell_keys([edge * (1 - 1e-9)])
+    above = coxeter._cell_keys([edge * (1 + 1e-9)])
+    assert below[0] == (0,) and above[0] == (1,)
+    assert set(below) == set(above) == {(0,), (1,)}
+    assert coxeter._cell_keys([0.0, 1.0]) == [(0, round(coxeter._CELLS_PER_UNIT))]
+
+
+def test_rank_one():
+    a1 = build_system(CoxeterSpec.from_matrix([[1]]))
+    assert a1.elements == [(), (0,)]
+    assert a1.right_cayley == [[1], [0]]
 
 
 def test_multiply_fixtures(s4):
