@@ -21,6 +21,7 @@ from .covering import (
     build_fibered_graph,
     class_cycle_rank,
     cycle_rank,
+    iter_fibered_graphs,
     multiplicity_partition,
     unique_lift_edge,
     verify_covering,

@@ -4,9 +4,13 @@ Two independent routes compute the expansion of a product of two class sums
 back into class sums:
 
 - the covering route reads each coefficient off a fibered-product instance
-  as its constant fiber size (`structure_constant`, `product_expand`), and
-- the convolution oracle multiplies out all pairs in the group algebra and
-  tallies per element (`convolution_oracle`).
+  as its constant fiber size.  `product_expand` and `expansion_rows` take
+  every non-empty instance of a product from one bucketed pass over the
+  pairs (`iter_fibered_graphs`); `structure_constant` builds the single
+  instance of one target.
+- The convolution oracle multiplies out all pairs in the group algebra and
+  tallies per element (`convolution_oracle`).  It keeps its own scan, so it
+  shares no code with the route it checks.
 
 `full_table` runs both for every pair of subsets and insists they agree.
 The Y basis is the class sums themselves; the X basis collects the class
@@ -20,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .coxeter import CoxeterSystem
-from .covering import CoveringInstance, build_fibered_graph, multiplicity_partition
+from .covering import build_fibered_graph, iter_fibered_graphs, multiplicity_partition
 from .errors import ClassInconstant, OracleMismatch
 from .gensets import format_subset, iter_subsets, one_based
 from .recoil import recoil_class
@@ -66,23 +70,11 @@ def structure_constant(sys: CoxeterSystem, left: int, right: int, target: int) -
     return build_fibered_graph(sys, left, right, target).fiber_size
 
 
-def _product_targets(sys: CoxeterSystem, left: int, right: int) -> list[int]:
-    """Recoil subsets hit by at least one product, ascending."""
-    cls_l = recoil_class(sys, left)
-    cls_r = recoil_class(sys, right)
-    hit = {
-        sys.recoils[sys.multiply_index(p, r)]
-        for p in cls_l.members
-        for r in cls_r.members
-    }
-    return sorted(hit)
-
-
 def product_expand(sys: CoxeterSystem, left: int, right: int) -> AlgebraElement:
     """Product of two class sums in the Y basis, via covering degrees."""
     coeffs = {
-        target: structure_constant(sys, left, right, target)
-        for target in _product_targets(sys, left, right)
+        target: inst.fiber_size
+        for target, inst in iter_fibered_graphs(sys, left, right)
     }
     return AlgebraElement.make("Y", coeffs)
 
@@ -109,8 +101,10 @@ def convolution_oracle(sys: CoxeterSystem, left: int, right: int) -> AlgebraElem
     return AlgebraElement.make("Y", coeffs)
 
 
-def _superset_zeta(coeffs: dict[int, int]) -> dict[int, int]:
-    """f'[A] = sum of f[B] over B containing A, within the support lattice."""
+def _superset_transform(coeffs: dict[int, int], sign: int) -> dict[int, int]:
+    """f'[A] = sum of sign^|B - A| * f[B] over B containing A, within the
+    support lattice: the superset zeta transform for sign +1 and its
+    inverse, the Moebius transform, for sign -1."""
     universe = 0
     for mask in coeffs:
         universe |= mask
@@ -124,26 +118,7 @@ def _superset_zeta(coeffs: dict[int, int]) -> dict[int, int]:
     for b in (1 << i for i in range(universe.bit_length()) if (universe >> i) & 1):
         for m in lattice:
             if not m & b:
-                f[m] += f[m | b]
-    return f
-
-
-def _superset_moebius(coeffs: dict[int, int]) -> dict[int, int]:
-    """Inverse of the superset zeta transform."""
-    universe = 0
-    for mask in coeffs:
-        universe |= mask
-    lattice = [0]
-    bit = 1
-    while bit <= universe:
-        if universe & bit:
-            lattice += [m | bit for m in lattice]
-        bit <<= 1
-    f = {m: coeffs.get(m, 0) for m in lattice}
-    for b in (1 << i for i in range(universe.bit_length()) if (universe >> i) & 1):
-        for m in lattice:
-            if not m & b:
-                f[m] -= f[m | b]
+                f[m] += sign * f[m | b]
     return f
 
 
@@ -155,14 +130,14 @@ def x_from_y(elem: AlgebraElement) -> AlgebraElement:
     """
     if elem.basis != "Y":
         raise ValueError("x_from_y expects a Y-basis element")
-    return AlgebraElement.make("X", _superset_moebius(elem.as_dict()))
+    return AlgebraElement.make("X", _superset_transform(elem.as_dict(), -1))
 
 
 def y_from_x(elem: AlgebraElement) -> AlgebraElement:
     """Rewrite an X-basis combination in the Y basis (superset zeta)."""
     if elem.basis != "X":
         raise ValueError("y_from_x expects an X-basis element")
-    return AlgebraElement.make("Y", _superset_zeta(elem.as_dict()))
+    return AlgebraElement.make("Y", _superset_transform(elem.as_dict(), +1))
 
 
 def algebra_product(sys: CoxeterSystem, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -220,28 +195,24 @@ class StructureTable:
 
 def expansion_rows(sys: CoxeterSystem, left: int, right: int) -> list[TableRow]:
     """Table rows of one product, cross-checked against the oracle."""
-    instances: dict[int, CoveringInstance] = {
-        target: build_fibered_graph(sys, left, right, target)
-        for target in _product_targets(sys, left, right)
-    }
+    rows: list[TableRow] = []
+    covering: dict[int, int] = {}
+    for target, inst in iter_fibered_graphs(sys, left, right):
+        covering[target] = inst.fiber_size
+        rows.append(TableRow(
+            left=one_based(left),
+            right=one_based(right),
+            target=one_based(target),
+            constant=inst.fiber_size,
+            partition=multiplicity_partition(inst),
+            components=inst.component_count,
+        ))
     oracle = convolution_oracle(sys, left, right).as_dict()
-    covering = {t: inst.fiber_size for t, inst in instances.items()}
     if covering != oracle:
         raise OracleMismatch(
             f"covering route {covering} != oracle {oracle} for "
             f"({format_subset(left)}, {format_subset(right)})"
         )
-    rows = [
-        TableRow(
-            left=one_based(left),
-            right=one_based(right),
-            target=one_based(t),
-            constant=inst.fiber_size,
-            partition=multiplicity_partition(inst),
-            components=inst.component_count,
-        )
-        for t, inst in instances.items()
-    ]
     rows.sort(key=lambda r: r.target)
     return rows
 

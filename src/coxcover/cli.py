@@ -93,26 +93,24 @@ def cmd_table(args) -> int:
         rights = sorted(iter_subsets(rank), key=one_based)
     else:
         rights = [_subset(args.right, rank)]
-    table = StructureTable(group=system.spec.describe(), rank=rank)
-    for left in lefts:
-        for right in rights:
-            table.rows.extend(expansion_rows(system, left, right))
+    products = [(left, right, expansion_rows(system, left, right))
+                for left in lefts for right in rights]
     if args.format == "json":
-        print(json.dumps(table.to_json()))
+        data = StructureTable(group=system.spec.describe(), rank=rank,
+                              rows=[row for _, _, rows in products for row in rows]).to_json()
+        del products  # free the rows before serializing their JSON copies
+        print(json.dumps(data))
         return EXIT_OK
-    for left in lefts:
-        for right in rights:
-            rows = [r for r in table.rows
-                    if r.left == one_based(left) and r.right == one_based(right)]
-            lhs = "Y_{%s} * Y_{%s}" % (
-                ",".join(str(i) for i in one_based(left)),
-                ",".join(str(i) for i in one_based(right)),
-            )
-            print(f"{lhs} = {_format_expansion(rows)}")
-            for row in rows:
-                print(f"  K={format_subset(sum(1 << (i - 1) for i in row.target))} "
-                      f"a={row.constant} lambda={list(row.partition)} "
-                      f"components={row.components}")
+    for left, right, rows in products:
+        lhs = "Y_{%s} * Y_{%s}" % (
+            ",".join(str(i) for i in one_based(left)),
+            ",".join(str(i) for i in one_based(right)),
+        )
+        print(f"{lhs} = {_format_expansion(rows)}")
+        for row in rows:
+            print(f"  K={format_subset(sum(1 << (i - 1) for i in row.target))} "
+                  f"a={row.constant} lambda={list(row.partition)} "
+                  f"components={row.components}")
     return EXIT_OK
 
 

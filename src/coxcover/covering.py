@@ -10,6 +10,12 @@ a conjugate that need not be simple).  Each edge is tagged with the
 coordinate that moved ("left" or "right") and the generator of that class
 edge.
 
+`build_fibered_graph` builds one instance (I, J, K) from a scan of the
+product filtered on K.  `iter_fibered_graphs` builds every non-empty
+instance of (I, J) from a single scan, bucketed by the recoil set of each
+product; both hand their vertices to the same wiring step, so an instance
+is identical whichever way it was built.
+
 The projection sends (pi, rho) to pi*rho.  Everything this package computes
 downstream rests on that projection being a graph covering of the target
 class; `verify_covering` checks the covering axioms directly instead of
@@ -20,7 +26,7 @@ descent algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .coxeter import CoxeterSystem
 from .errors import FiberInconstant, InvariantViolation, NotAClassEdge
@@ -77,12 +83,9 @@ def build_fibered_graph(sys: CoxeterSystem, left: int, right: int,
 
     An empty instance (structure constant 0) is valid data, not an error.
     """
-    for mask in (left, right, target):
-        if mask >> sys.rank:
-            raise ValueError(f"subset {format_subset(mask)} outside rank {sys.rank}")
+    _check_masks(sys, left, right, target)
     cls_l = recoil_class(sys, left)
     cls_r = recoil_class(sys, right)
-    cls_t = recoil_class(sys, target)
 
     vertices: list[Vertex] = []
     projection: list[int] = []
@@ -92,6 +95,54 @@ def build_fibered_graph(sys: CoxeterSystem, left: int, right: int,
             if sys.recoils[prod] == target:
                 vertices.append((p, r))
                 projection.append(prod)
+    return _wire(sys, left, right, target, vertices, projection)
+
+
+def iter_fibered_graphs(sys: CoxeterSystem, left: int,
+                        right: int) -> Iterator[tuple[int, CoveringInstance]]:
+    """Every non-empty instance of the product of two classes, as
+    (target, instance) in ascending target order.
+
+    One pass over the product buckets each pair by the recoil set of its
+    product; bucket K holds exactly the vertices `build_fibered_graph`
+    would find for target K, in the same order.  Instances are wired one at
+    a time as they are requested, so a consumer holds only what it keeps.
+    """
+    _check_masks(sys, left, right)
+    cls_l = recoil_class(sys, left)
+    cls_r = recoil_class(sys, right)
+
+    buckets: dict[int, tuple[list[Vertex], list[int]]] = {}
+    recoils = sys.recoils
+    multiply = sys.multiply_index
+    for p in cls_l.members:
+        for r in cls_r.members:
+            prod = multiply(p, r)
+            key = recoils[prod]
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = ([], [])
+            bucket[0].append((p, r))
+            bucket[1].append(prod)
+    for target in sorted(buckets):
+        vertices, projection = buckets.pop(target)
+        yield target, _wire(sys, left, right, target, vertices, projection)
+
+
+def _check_masks(sys: CoxeterSystem, *masks: int) -> None:
+    for mask in masks:
+        if mask >> sys.rank:
+            raise ValueError(f"subset {format_subset(mask)} outside rank {sys.rank}")
+
+
+def _wire(sys: CoxeterSystem, left: int, right: int, target: int,
+          vertices: list[Vertex], projection: list[int]) -> CoveringInstance:
+    """Edges, fibers, components and per-component degrees over the given
+    vertices, which must be every pair of the product that lands in the
+    target class, in scan order, with their products."""
+    cls_l = recoil_class(sys, left)
+    cls_r = recoil_class(sys, right)
+    cls_t = recoil_class(sys, target)
     vertex_id = {v: i for i, v in enumerate(vertices)}
 
     edges: list[tuple[int, int, str, int]] = []

@@ -21,7 +21,7 @@ from .algebra import (
 )
 from .coxeter import CoxeterSystem, positional_recoils
 from .covering import (
-    build_fibered_graph,
+    iter_fibered_graphs,
     multiplicity_partition,
     unique_lift_edge,
     verify_covering,
@@ -138,10 +138,7 @@ def _check_coverings(sys: CoxeterSystem) -> CheckResult:
     res = CheckResult("covering axioms")
     for left in iter_subsets(sys.rank):
         for right in iter_subsets(sys.rank):
-            for target in iter_subsets(sys.rank):
-                inst = build_fibered_graph(sys, left, right, target)
-                if inst.is_empty:
-                    continue
+            for target, inst in iter_fibered_graphs(sys, left, right):
                 res.checked += 1
                 report = verify_covering(inst)
                 if not report.ok:
@@ -210,10 +207,7 @@ def _check_monodromy(sys: CoxeterSystem) -> CheckResult:
         relation_loops(sys, recoil_class(sys, subset))
     for left in iter_subsets(sys.rank):
         for right in iter_subsets(sys.rank):
-            for target in iter_subsets(sys.rank):
-                inst = build_fibered_graph(sys, left, right, target)
-                if inst.is_empty:
-                    continue
+            for target, inst in iter_fibered_graphs(sys, left, right):
                 res.checked += 1
                 report = monodromy_report(inst)  # raises on any violation
                 if report.braid_orders and not set(report.braid_orders) <= {1, 2}:

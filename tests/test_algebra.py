@@ -9,6 +9,7 @@ from coxcover import (
     AlgebraElement,
     algebra_product,
     convolution_oracle,
+    expansion_rows,
     full_table,
     product_expand,
     recoil_class,
@@ -33,6 +34,30 @@ def test_structure_constant_fixtures(s4, s5):
         other = mask ^ 0b111
         if other != mask:
             assert structure_constant(s4, 0, mask, other) == 0
+
+
+@pytest.mark.parametrize("left, right", [
+    ((), ()), ((1,), (3,)), ((2, 3), (3, 4)), ((1, 2, 3, 4), (2,)), ((1, 3), (2, 4)),
+])
+def test_product_routes_scan_each_pair_once(s5, monkeypatch, left, right):
+    # one covering scan per product (not one per target), plus the oracle's
+    # own scan in expansion_rows
+    calls = 0
+    multiply = s5.multiply_index
+
+    def counting(u, v):
+        nonlocal calls
+        calls += 1
+        return multiply(u, v)
+
+    monkeypatch.setattr(s5, "multiply_index", counting)
+    lmask, rmask = subset(*left), subset(*right)
+    pairs = len(recoil_class(s5, lmask)) * len(recoil_class(s5, rmask))
+    expansion_rows(s5, lmask, rmask)
+    assert calls == 2 * pairs
+    calls = 0
+    product_expand(s5, lmask, rmask)
+    assert calls == pairs
 
 
 def test_product_y1_y3(s4):

@@ -59,6 +59,20 @@ def test_table_all_pairs(capsys):
     assert len(json.loads(out)["rows"]) == 24
 
 
+def test_table_text_is_the_concatenation_of_its_pairs(capsys):
+    code, full = run_cli(capsys, "table", "--group", "S4")
+    assert code == 0
+    subsets = ["", "1", "1,2", "1,2,3", "1,3", "2", "2,3", "3"]  # one_based order
+    pieces = []
+    for left in subsets:
+        for right in subsets:
+            code, out = run_cli(capsys, "table", "--group", "S4",
+                                "--left", left, "--right", right)
+            assert code == 0
+            pieces.append(out)
+    assert full == "".join(pieces)
+
+
 def test_cover_text(capsys):
     code, out = run_cli(capsys, "cover", "--group", "S5",
                         "--left", "2,3", "--right", "3,4", "--target", "1,3")

@@ -8,6 +8,7 @@ from coxcover import (
     class_cycle_rank,
     covering_dot,
     cycle_rank,
+    iter_fibered_graphs,
     multiplicity_partition,
     recoil_class,
     unique_lift_edge,
@@ -89,6 +90,31 @@ def test_covering_axioms_all_s4(s4):
                 assert verify_covering(inst).ok
                 assert sum(multiplicity_partition(inst)) == inst.fiber_size
     assert checked == 188
+
+
+INSTANCE_FIELDS = ("left", "right", "target", "vertices", "projection", "edges",
+                   "fibers", "component", "degrees", "fiber_size")
+
+
+@pytest.mark.parametrize("group", ["s4", "s5", "i6", "b3", "h3"])
+def test_one_pass_instances_match_single_target_builds(group, request):
+    sys_ = request.getfixturevalue(group)
+    for left in iter_subsets(sys_.rank):
+        for right in iter_subsets(sys_.rank):
+            expected = [(target, inst) for target in iter_subsets(sys_.rank)
+                        if not (inst := build_fibered_graph(sys_, left, right, target)).is_empty]
+            got = list(iter_fibered_graphs(sys_, left, right))
+            assert [t for t, _ in got] == [t for t, _ in expected]
+            for (target, inst), (_, want) in zip(got, expected):
+                assert not inst.is_empty
+                for name in INSTANCE_FIELDS:
+                    assert getattr(inst, name) == getattr(want, name), (
+                        f"{name} differs for ({left}, {right}, {target})")
+
+
+def test_one_pass_rejects_subsets_outside_rank(s4):
+    with pytest.raises(ValueError):
+        next(iter_fibered_graphs(s4, 1 << s4.rank, 0))
 
 
 def test_edges_move_one_coordinate_and_project_to_edges(s5):
