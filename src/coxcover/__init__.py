@@ -14,7 +14,7 @@ from .algebra import (
     x_from_y,
     y_from_x,
 )
-from .coxeter import CoxeterSpec, CoxeterSystem, Element, build_system, positional_recoils
+from .coxeter import CoxeterSpec, CoxeterSystem, build_system, positional_recoils
 from .covering import (
     CoveringInstance,
     CoveringReport,
@@ -58,7 +58,6 @@ from .recoil import (
     class_extremes,
     conjugated_generator,
     recoil_class,
-    same_class_edge,
 )
 from .verify import CheckResult, run_invariant_sweep
 

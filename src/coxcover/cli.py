@@ -37,10 +37,13 @@ class UsageError(Exception):
 
 def parse_group(text: str, cap: int | None) -> CoxeterSpec:
     cap_value = DEFAULT_ELEMENT_CAP if cap is None else cap
-    if text.startswith("S") and text[1:].isdigit():
-        return CoxeterSpec.symmetric(int(text[1:]), element_cap=cap_value)
-    if text.startswith("I") and text[1:].isdigit():
-        return CoxeterSpec.dihedral(int(text[1:]), element_cap=cap_value)
+    # ASCII digits only: str.isdigit also accepts superscripts, which int() refuses
+    number = text[1:]
+    if number.isascii() and number.isdigit():
+        if text[0] == "S":
+            return CoxeterSpec.symmetric(int(number), element_cap=cap_value)
+        if text[0] == "I":
+            return CoxeterSpec.dihedral(int(number), element_cap=cap_value)
     if text.startswith("matrix:"):
         path = text[len("matrix:"):]
         try:
@@ -122,8 +125,11 @@ def cmd_cover(args) -> int:
     inst = build_fibered_graph(system, left, right, target)
     report = verify_covering(inst)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(covering_dot(inst))
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(covering_dot(inst))
+        except OSError as exc:
+            raise UsageError(f"cannot write DOT file {args.dot}: {exc.strerror}") from None
     if args.format == "json":
         print(json.dumps(inst.to_json()))
         return EXIT_OK

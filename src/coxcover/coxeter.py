@@ -2,6 +2,9 @@
 
 Conventions, fixed once and used everywhere:
 
+- Elements are plain int indices into the system's tables; every query
+  (product, inverse, length, recoil and descent sets, weak order) is a
+  table lookup or a walk through a table.
 - Symmetric groups act on {1..n} and elements are stored in one-line
   notation as tuples, so ``(2, 1, 3, 4)`` is the permutation written 2134.
 - Products compose on the left: ``(u * v)(k) = u(v(k))``.  Consequently
@@ -18,6 +21,10 @@ Conventions, fixed once and used everywhere:
   roots.  Roots are told apart by rounding their Euclidean coordinates, so
   exact checks on the permutations and on the longest element follow the
   build; a failure raises InvariantViolation, never a wrong group.
+- Every system also keeps the lexicographically least reduced word of
+  each element (for word-stored groups, the stored form itself).  A
+  product u*v walks the right Cayley table from u along the word of v, for
+  every kind of group.
 - Elements are indexed breadth-first by length from the identity, ties
   broken by lexicographic order of the stored form, so index 0 is the
   identity and indices are reproducible across runs.
@@ -28,9 +35,13 @@ Conventions, fixed once and used everywhere:
 >>> sys4 = build_system(CoxeterSpec.symmetric(4))
 >>> len(sys4.elements)
 24
->>> u = sys4.from_oneline((2, 1, 3, 4)); v = sys4.from_oneline((1, 2, 4, 3))
->>> sys4.multiply(u, v).payload
+>>> u = sys4.index[(2, 1, 3, 4)]; v = sys4.index[(1, 2, 4, 3)]
+>>> sys4.elements[sys4.multiply_index(u, v)]
 (2, 1, 4, 3)
+>>> sys4.words[sys4.longest_index]
+(0, 1, 0, 2, 1, 0)
+>>> sys4.format_index(sys4.word_index((0, 1)))
+'2314'
 """
 
 from __future__ import annotations
@@ -136,20 +147,6 @@ class CoxeterSpec:
             raise InvalidSpec(f"unknown kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class Element:
-    """A group element: its index in the system plus the stored form.
-
-    `payload` is the one-line tuple for symmetric groups and the canonical
-    reduced word (0-based generator indices) otherwise.  `length` is the
-    Coxeter length, which for permutations equals the inversion count.
-    """
-
-    index: int
-    payload: tuple[int, ...]
-    length: int
-
-
 def _inversions(p: tuple[int, ...]) -> int:
     n = len(p)
     return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
@@ -181,7 +178,10 @@ class CoxeterSystem:
       spec           the defining CoxeterSpec
       rank           number of simple generators
       elements       index -> stored form (one-line tuple or canonical word)
-      lengths        index -> Coxeter length
+      index          stored form -> index
+      words          index -> lexicographically least reduced word; the
+                     same list as `elements` for word-stored groups
+      lengths        index -> Coxeter length, len(words[i])
       right_cayley   [index][s] -> index of w*s
       left_cayley    [index][s] -> index of s*w
       recoils        index -> recoil bitmask  { s : len(s*w) < len(w) }
@@ -189,11 +189,13 @@ class CoxeterSystem:
       inverse_index  index -> index of the inverse
       gen_index      s -> element index of the generator
       longest_index  index of the longest element
+
+    The identity has index 0.
     """
 
     def __init__(self, spec: CoxeterSpec, elements: list[tuple[int, ...]],
-                 left_cayley: list[list[int]], right_cayley: list[list[int]],
-                 inverse_index: list[int]):
+                 words: list[tuple[int, ...]], left_cayley: list[list[int]],
+                 right_cayley: list[list[int]], inverse_index: list[int]):
         self.spec = spec
         self.kind = spec.kind
         self.rank = spec.rank
@@ -201,10 +203,8 @@ class CoxeterSystem:
         self.matrix = spec.coxeter_matrix()
         self.elements = elements
         self.index = {p: i for i, p in enumerate(elements)}
-        if self.kind == "symmetric":
-            self.lengths = [_inversions(p) for p in elements]
-        else:
-            self.lengths = [len(w) for w in elements]
+        self.words = words
+        self.lengths = [len(w) for w in words]
         self.left_cayley = left_cayley
         self.right_cayley = right_cayley
         self.inverse_index = inverse_index
@@ -235,77 +235,23 @@ class CoxeterSystem:
             raise InvariantViolation("longest element is not unique")
         return hits[0]
 
-    # -- element access ------------------------------------------------------
+    # -- group operations ----------------------------------------------------
 
-    def element(self, i: int) -> Element:
-        return Element(i, self.elements[i], self.lengths[i])
-
-    @property
-    def identity(self) -> Element:
-        return self.element(0)
-
-    @property
-    def longest(self) -> Element:
-        return self.element(self.longest_index)
-
-    def generator(self, s: int) -> Element:
-        return self.element(self.gen_index[s])
-
-    def from_oneline(self, oneline: Sequence[int]) -> Element:
-        if self.kind != "symmetric":
-            raise ValueError("one-line forms exist only for symmetric groups")
-        return self.element(self.index[tuple(oneline)])
-
-    def from_word(self, word: Sequence[int]) -> Element:
-        """Element spelled by an arbitrary word in the generators."""
+    def word_index(self, word: Sequence[int]) -> int:
+        """Index of the element spelled by an arbitrary word in the generators."""
         i = 0
         for s in word:
             i = self.right_cayley[i][s]
-        return self.element(i)
-
-    def check_member(self, w: Element) -> None:
-        if not (0 <= w.index < len(self.elements)) or self.elements[w.index] != w.payload:
-            raise ValueError("element does not belong to this system")
-
-    # -- group operations ----------------------------------------------------
-
-    def multiply_index(self, u: int, v: int) -> int:
-        if self.kind == "symmetric":
-            pu, pv = self.elements[u], self.elements[v]
-            return self.index[tuple(pu[x - 1] for x in pv)]
-        i = u
-        for s in self.elements[v]:
-            i = self.right_cayley[i][s]
         return i
 
-    def multiply(self, u: Element, v: Element) -> Element:
-        self.check_member(u)
-        self.check_member(v)
-        return self.element(self.multiply_index(u.index, v.index))
-
-    def inverse(self, w: Element) -> Element:
-        self.check_member(w)
-        return self.element(self.inverse_index[w.index])
-
-    def length(self, w: Element) -> int:
-        self.check_member(w)
-        return self.lengths[w.index]
-
-    def recoil_set(self, w: Element) -> int:
-        self.check_member(w)
-        return self.recoils[w.index]
-
-    def descent_set(self, w: Element) -> int:
-        self.check_member(w)
-        return self.descents[w.index]
-
-    def weak_leq(self, u: Element, w: Element) -> bool:
-        """Right weak order: u <= w iff len(u) + len(u^-1 w) == len(w)."""
-        self.check_member(u)
-        self.check_member(w)
-        return self.weak_leq_index(u.index, w.index)
+    def multiply_index(self, u: int, v: int) -> int:
+        right = self.right_cayley
+        for s in self.words[v]:
+            u = right[u][s]
+        return u
 
     def weak_leq_index(self, u: int, w: int) -> bool:
+        """Right weak order: u <= w iff len(u) + len(u^-1 w) == len(w)."""
         between = self.multiply_index(self.inverse_index[u], w)
         return self.lengths[u] + self.lengths[between] == self.lengths[w]
 
@@ -327,10 +273,7 @@ class CoxeterSystem:
             raise NotADescent(f"generator {s + 1} does not shorten this word")
         for cut in range(len(seq)):
             candidate = seq[:cut] + seq[cut + 1 :]
-            j = 0
-            for t in candidate:
-                j = self.right_cayley[j][t]
-            if j == target:
+            if self.word_index(candidate) == target:
                 return candidate
         raise InvariantViolation("exchange property produced no valid deletion")
 
@@ -339,20 +282,6 @@ class CoxeterSystem:
     def order_product(self, s: int, t: int) -> int:
         """Order m(s, t) of the product of two generators (0 means infinite)."""
         return self.matrix[s][t]
-
-    def reduced_word(self, w: Element) -> tuple[int, ...]:
-        """Lexicographically least reduced word (equals the payload for
-        word-based realizations)."""
-        self.check_member(w)
-        if self.kind != "symmetric":
-            return w.payload
-        out = []
-        i = w.index
-        while self.lengths[i] > 0:
-            s = (self.recoils[i] & -self.recoils[i]).bit_length() - 1
-            out.append(s)
-            i = self.left_cayley[i][s]
-        return tuple(out)
 
     def format_index(self, i: int) -> str:
         payload = self.elements[i]
@@ -365,10 +294,6 @@ class CoxeterSystem:
         if self.kind == "dihedral":
             return "".join("st"[s] for s in payload)
         return ".".join(str(s + 1) for s in payload)
-
-    def format_element(self, w: Element) -> str:
-        self.check_member(w)
-        return self.format_index(w.index)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -400,7 +325,15 @@ def _build_symmetric(spec: CoxeterSpec) -> CoxeterSystem:
             row.append(index[tuple(b if v == a else a if v == b else v for v in p)])
         left.append(row)
     inverse = [index[_invert_oneline(p)] for p in elements]
-    return CoxeterSystem(spec, list(elements), left, right, inverse)
+    # indices ascend with length, so s is a recoil of w exactly when s*w has
+    # the smaller index; the lex-least reduced word starts with the smallest
+    # recoil and continues with the word of s*w, already built
+    words: list[tuple[int, ...]] = [()]
+    for i in range(1, len(elements)):
+        row = left[i]
+        s = next(s for s in range(n - 1) if row[s] < i)
+        words.append((s,) + words[row[s]])
+    return CoxeterSystem(spec, elements, words, left, right, inverse)
 
 
 # Roots are told apart by their Euclidean coordinates rounded to this many
@@ -598,7 +531,7 @@ def _build_from_roots(spec: CoxeterSpec) -> CoxeterSystem:
             j = left[j][t]
         inverse.append(j)
     right = [[inverse[left[inverse[i]][s]] for s in range(rank)] for i in range(len(elements))]
-    return CoxeterSystem(spec, elements, left, right, inverse)
+    return CoxeterSystem(spec, elements, elements, left, right, inverse)
 
 
 def build_system(spec: CoxeterSpec) -> CoxeterSystem:

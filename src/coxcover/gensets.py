@@ -54,10 +54,6 @@ def complement(mask: int, rank: int) -> int:
     return ((1 << rank) - 1) & ~mask
 
 
-def size(mask: int) -> int:
-    return mask.bit_count()
-
-
 def format_subset(mask: int) -> str:
     return "{%s}" % ",".join(str(i) for i in one_based(mask))
 

@@ -12,9 +12,9 @@ facts rather than construction inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .coxeter import CoxeterSystem, Element
+from .coxeter import CoxeterSystem
 from .errors import InvariantViolation
 from .gensets import complement, format_subset
 
@@ -27,7 +27,6 @@ class RecoilClass:
     adjacency: dict[int, list[tuple[int, int]]]  # element -> [(neighbor, s)]
     alpha: int                               # weak-order minimum (element index)
     beta: int                                # weak-order maximum (element index)
-    member_set: frozenset[int] = field(repr=False, default=frozenset())
 
     def __len__(self) -> int:
         return len(self.members)
@@ -43,7 +42,6 @@ def recoil_class(sys: CoxeterSystem, subset: int) -> RecoilClass:
     members = [i for i in range(len(sys.elements)) if sys.recoils[i] == subset]
     if not members:
         raise InvariantViolation(f"recoil class {format_subset(subset)} is empty")
-    member_set = frozenset(members)
     edges = []
     for u in members:
         row = sys.right_cayley[u]
@@ -65,8 +63,7 @@ def recoil_class(sys: CoxeterSystem, subset: int) -> RecoilClass:
             raise InvariantViolation("recoil class has no unique minimum")
         if sys.lengths[members[-1]] == sys.lengths[members[-2]]:
             raise InvariantViolation("recoil class has no unique maximum")
-    cls = RecoilClass(subset, members, edges, adjacency, members[0], members[-1],
-                      member_set)
+    cls = RecoilClass(subset, members, edges, adjacency, members[0], members[-1])
     sys._class_cache[subset] = cls
     return cls
 
@@ -94,34 +91,30 @@ def beta_oneline(n: int, subset: int) -> tuple[int, ...]:
     return tuple(reversed(alpha_oneline(n, complement(subset, n - 1))))
 
 
-def class_extremes(sys: CoxeterSystem, subset: int) -> tuple[Element, Element]:
-    """Weak-order minimum and maximum of a recoil class.
+def class_extremes(sys: CoxeterSystem, subset: int) -> tuple[int, int]:
+    """Element indices of the weak-order minimum and maximum of a recoil
+    class.
 
     Symmetric groups use the closed descending-runs form; other
     realizations fall back to the class scan.
     """
     if sys.kind == "symmetric":
-        lo = sys.from_oneline(alpha_oneline(sys.n, subset))
-        hi = sys.from_oneline(beta_oneline(sys.n, subset))
-        return lo, hi
+        return (sys.index[alpha_oneline(sys.n, subset)],
+                sys.index[beta_oneline(sys.n, subset)])
     cls = recoil_class(sys, subset)
-    return sys.element(cls.alpha), sys.element(cls.beta)
-
-
-def same_class_edge(sys: CoxeterSystem, w: Element, s: int) -> bool:
-    """Does the Cayley edge w -- w*s stay inside w's recoil class?"""
-    sys.check_member(w)
-    return same_class_edge_index(sys, w.index, s)
+    return cls.alpha, cls.beta
 
 
 def same_class_edge_index(sys: CoxeterSystem, w: int, s: int) -> bool:
+    """Does the Cayley edge w -- w*s stay inside w's recoil class?"""
     return sys.recoils[sys.right_cayley[w][s]] == sys.recoils[w]
 
 
 def conjugated_generator(sys: CoxeterSystem, w: int, s: int) -> int | None:
     """The generator index t with w s w^-1 = t, or None when the conjugate
-    is not simple.  Computed by actual multiplication, independently of the
-    recoil tables, so it can cross-check the class-edge criterion."""
+    is not simple.  Computed by actual multiplication, a walk through the
+    right Cayley table that does not read the recoil tables, so it can
+    cross-check the class-edge criterion."""
     ws = sys.right_cayley[w][s]
     conj = sys.multiply_index(ws, sys.inverse_index[w])
     return sys.gen_of.get(conj)

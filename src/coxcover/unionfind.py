@@ -9,10 +9,6 @@ class UnionFind:
     def __init__(self, items: Iterable[Hashable] = ()):
         self.parent: dict = {x: x for x in items}
 
-    def add(self, x) -> None:
-        if x not in self.parent:
-            self.parent[x] = x
-
     def find(self, x):
         root = x
         while self.parent[root] != root:

@@ -160,7 +160,7 @@ def test_criterion_08_monodromy_orders():
                     report = monodromy_report(inst)
                     assert set(report.braid_orders) <= {1, 2}
         inst = build_fibered_graph(s5, subset(2, 3), subset(3, 4), subset(1, 3))
-        base = s5.from_oneline(perm("24153")).index
+        base = s5.index[perm("24153")]
         action = loop_action(inst, Loop(base, (3, 2, 3, 2, 3, 2), "braid"))
         assert action.order == 2
 

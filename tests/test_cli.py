@@ -143,10 +143,32 @@ def test_verify_matrix_file(tmp_path, capsys):
 
 
 def test_usage_errors(capsys):
-    assert run_cli(capsys, "table", "--group", "X4")[0] == 2
-    assert run_cli(capsys, "table", "--group", "S4", "--left", "9")[0] == 2
-    assert run_cli(capsys, "table", "--group", "S0")[0] == 2
-    assert run_cli(capsys, "verify", "--group", "matrix:/no/such/file.json")[0] == 2
+    for argv in (
+        ("table", "--group", "X4"),
+        ("table", "--group", "S4", "--left", "9"),
+        ("table", "--group", "S0"),
+        ("verify", "--group", "matrix:/no/such/file.json"),
+        # str.isdigit accepts superscript digits, which int() refuses
+        ("verify", "--group", "S\u00b3"),
+        ("table", "--group", "I\u00b2"),
+    ):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cover_unwritable_dot_path_is_a_usage_error(tmp_path, capsys):
+    dot_file = tmp_path / "missing" / "z.dot"
+    code = main(["cover", "--group", "S4", "--left", "1", "--right", "3",
+                 "--target", "1,3", "--dot", str(dot_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write DOT file ")
+    assert captured.err.count("\n") == 1
+    assert not dot_file.parent.exists()
 
 
 def test_cap_exit_code(capsys):

@@ -135,44 +135,44 @@ def test_left_moves_with_nonsimple_conjugate_are_not_edges(s5):
     # the product pair 42153 / 42351 differs by a length-3 conjugate; the
     # corresponding left move must be absent even though both are vertices
     inst = build_fibered_graph(s5, subset(2, 3), subset(3, 4), subset(1, 3))
-    pi = s5.from_oneline(perm("41352")).index
-    pi2 = s5.from_oneline(perm("43152")).index
-    rho = s5.from_oneline(perm("15243")).index
+    pi = s5.index[perm("41352")]
+    pi2 = s5.index[perm("43152")]
+    rho = s5.index[perm("15243")]
     u = inst.vertex_id[(pi, rho)]
     v = inst.vertex_id[(pi2, rho)]
     assert all(nbr != v for nbr, _, _ in inst.adjacency[u])
 
 
 def test_unique_lift_left_case(s4):
-    vertex = (s4.from_oneline(perm("2314")).index, s4.from_oneline(perm("1243")).index)
+    vertex = (s4.index[perm("2314")], s4.index[perm("1243")])
     lifted, side, gen = unique_lift_edge(s4, vertex, 2)
     assert side == "left" and gen == 2
     assert tuple(s4.elements[i] for i in lifted) == (perm("2341"), perm("1243"))
 
 
 def test_unique_lift_right_case(s4):
-    vertex = (s4.from_oneline(perm("2341")).index, s4.from_oneline(perm("1243")).index)
+    vertex = (s4.index[perm("2341")], s4.index[perm("1243")])
     lifted, side, gen = unique_lift_edge(s4, vertex, 1)
     assert side == "right" and gen == 1
     assert tuple(s4.elements[i] for i in lifted) == (perm("2341"), perm("1423"))
 
 
 def test_unique_lift_dihedral(i6):
-    s, t = i6.from_word((0,)), i6.from_word((1,))
-    lifted, side, gen = unique_lift_edge(i6, (s.index, t.index), 0)
+    s, t = i6.gen_index
+    lifted, side, gen = unique_lift_edge(i6, (s, t), 0)
     assert side == "right"
     assert tuple(i6.format_index(i) for i in lifted) == ("s", "ts")
-    lifted, side, gen = unique_lift_edge(i6, (s.index, t.index), 1)
+    lifted, side, gen = unique_lift_edge(i6, (s, t), 1)
     assert side == "left" and gen == 1
     assert tuple(i6.format_index(i) for i in lifted) == ("st", "t")
 
 
 def test_unique_lift_requires_class_edge(s4):
     # both these steps leave the product's recoil class
-    v1 = (s4.from_oneline(perm("2314")).index, s4.from_oneline(perm("1243")).index)
+    v1 = (s4.index[perm("2314")], s4.index[perm("1243")])
     with pytest.raises(NotAClassEdge):
         unique_lift_edge(s4, v1, 1)
-    v2 = (s4.from_oneline(perm("2134")).index, s4.from_oneline(perm("1243")).index)
+    v2 = (s4.index[perm("2134")], s4.index[perm("1243")])
     with pytest.raises(NotAClassEdge):
         unique_lift_edge(s4, v2, 2)
 

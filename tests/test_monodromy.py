@@ -57,7 +57,7 @@ def test_braid_loops_in_s5_class(s5):
 def test_braid_positional_criterion_agrees(s5):
     for target in iter_subsets(s5.rank):
         cls = recoil_class(s5, target)
-        members = cls.member_set
+        members = set(cls.members)
         for w in cls.members:
             for i in range(s5.n - 2):
                 walk_ok = True
@@ -107,7 +107,7 @@ def test_lift_path_rejects_leaving_class(s4):
 
 def test_reference_braid_loop_swaps_fiber(s5):
     inst = build_fibered_graph(s5, *FLAGSHIP)
-    base = s5.from_oneline(perm("24153")).index
+    base = s5.index[perm("24153")]
     loop = Loop(base, (3, 2, 3, 2, 3, 2), "braid")
     fiber = inst.fibers[base]
     assert len(fiber) == 2
@@ -170,7 +170,7 @@ def test_monodromy_report_empty_instance(s4):
 
 def test_base_point_independence(s5):
     inst = build_fibered_graph(s5, *FLAGSHIP)
-    base = s5.from_oneline(perm("24153")).index
+    base = s5.index[perm("24153")]
     loop = Loop(base, (3, 2, 3, 2, 3, 2), "braid")
     direct = loop_action(inst, loop)
     # transport along the class edge 24153 -- 24135 (generator 4)

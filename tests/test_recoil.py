@@ -7,7 +7,6 @@ from coxcover import (
     class_graph_dot,
     conjugated_generator,
     recoil_class,
-    same_class_edge,
 )
 from coxcover.gensets import complement, iter_subsets, one_based
 from coxcover.recoil import (
@@ -85,8 +84,8 @@ def test_extremes_formula_matches_scan(s4, s5):
         for mask in iter_subsets(sys_.rank):
             cls = recoil_class(sys_, mask)
             lo, hi = class_extremes(sys_, mask)
-            assert lo.index == cls.alpha
-            assert hi.index == cls.beta
+            assert lo == cls.alpha
+            assert hi == cls.beta
             assert sys_.elements[cls.alpha] == alpha_oneline(sys_.n, mask)
             assert sys_.elements[cls.beta] == beta_oneline(sys_.n, mask)
 
@@ -96,28 +95,28 @@ def test_extremes_generic_realization(i6, b3):
         for mask in iter_subsets(sys_.rank):
             cls = recoil_class(sys_, mask)
             lo, hi = class_extremes(sys_, mask)
-            assert (lo.index, hi.index) == (cls.alpha, cls.beta)
-            assert lo.length == min(sys_.lengths[m] for m in cls.members)
-            assert hi.length == max(sys_.lengths[m] for m in cls.members)
+            assert (lo, hi) == (cls.alpha, cls.beta)
+            assert sys_.lengths[lo] == min(sys_.lengths[m] for m in cls.members)
+            assert sys_.lengths[hi] == max(sys_.lengths[m] for m in cls.members)
 
 
 def test_extremes_empty_subset(s4):
     lo, hi = class_extremes(s4, 0)
-    assert lo == hi == s4.identity
+    assert lo == hi == 0
 
 
 def test_beta_is_alpha_of_complement_times_longest(s5):
-    w0 = s5.longest
+    w0 = s5.longest_index
     for mask in iter_subsets(s5.rank):
-        alt = s5.from_oneline(alpha_oneline(5, complement(mask, s5.rank)))
-        assert s5.multiply(alt, w0).payload == beta_oneline(5, mask)
+        alt = s5.index[alpha_oneline(5, complement(mask, s5.rank))]
+        assert s5.elements[s5.multiply_index(alt, w0)] == beta_oneline(5, mask)
 
 
 def test_same_class_edge_fixtures(s4):
-    assert same_class_edge(s4, s4.from_oneline(perm("2143")), 1)
-    assert same_class_edge(s4, s4.from_oneline(perm("1243")), 1)
+    assert same_class_edge_index(s4, s4.index[perm("2143")], 1)
+    assert same_class_edge_index(s4, s4.index[perm("1243")], 1)
     for s in range(s4.rank):
-        assert not same_class_edge(s4, s4.identity, s)
+        assert not same_class_edge_index(s4, 0, s)
 
 
 def test_edge_criteria_agree(s4, s5, i6, b3):
