@@ -26,12 +26,12 @@ descent algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .coxeter import CoxeterSystem
 from .errors import FiberInconstant, InvariantViolation, NotAClassEdge
 from .gensets import format_subset, one_based
-from .recoil import RecoilClass, conjugated_generator, recoil_class
+from .recoil import RecoilClass, recoil_class, simple_conjugate
 from .unionfind import UnionFind
 
 Vertex = tuple[int, int]  # (element index in left class, element index in right class)
@@ -47,7 +47,7 @@ class CoveringInstance:
     right_class: RecoilClass = field(repr=False)
     target_class: RecoilClass = field(repr=False)
     vertices: list[Vertex]                    # sorted pairs of element indices
-    vertex_id: dict[Vertex, int] = field(repr=False)
+    id_by_key: dict[int, int] = field(repr=False)  # pi*|W| + rho -> vertex id
     projection: list[int]                     # vertex id -> element index of the product
     edges: list[tuple[int, int, str, int]]    # (u, v, side, generator), u < v
     adjacency: list[list[tuple[int, str, int]]] = field(repr=False)
@@ -63,6 +63,15 @@ class CoveringInstance:
     @property
     def component_count(self) -> int:
         return len(self.degrees)
+
+    def id_of(self, vertex: Vertex) -> int:
+        """Vertex id of the pair (pi, rho); KeyError when it is no vertex."""
+        p, r = vertex
+        vid = self.id_by_key.get(p * len(self.system.elements) + r)
+        # a coordinate out of range can still hit another vertex's key
+        if vid is None or self.vertices[vid] != vertex:
+            raise KeyError(vertex)
+        return vid
 
     def to_json(self) -> dict:
         return {
@@ -139,34 +148,39 @@ def _wire(sys: CoxeterSystem, left: int, right: int, target: int,
           vertices: list[Vertex], projection: list[int]) -> CoveringInstance:
     """Edges, fibers, components and per-component degrees over the given
     vertices, which must be every pair of the product that lands in the
-    target class, in scan order, with their products."""
+    target class, in scan order (ascending pairs), with their products."""
     cls_l = recoil_class(sys, left)
     cls_r = recoil_class(sys, right)
     cls_t = recoil_class(sys, target)
-    vertex_id = {v: i for i, v in enumerate(vertices)}
+    order = len(sys.elements)
+    id_by_key = {p * order + r: i for i, (p, r) in enumerate(vertices)}
+    get = id_by_key.get
+    right_cayley = sys.right_cayley
+    adj_l, adj_r = cls_l.adjacency, cls_r.adjacency
 
+    # vertex ids ascend with the pairs, so a move reaches a larger id exactly
+    # when the moved coordinate grows; each edge is found from its smaller end
     edges: list[tuple[int, int, str, int]] = []
     for u, (p, r) in enumerate(vertices):
-        for r2, s in cls_r.adjacency[r]:
-            v = vertex_id.get((p, r2))
-            if v is not None and u < v:
-                edges.append((u, v, "right", s))
-        for p2, s in cls_l.adjacency[p]:
-            v = vertex_id.get((p2, r))
-            if v is not None and u < v:
+        base = p * order
+        for r2, s in adj_r[r]:
+            if r2 > r:
+                v = get(base + r2)
+                if v is not None:
+                    edges.append((u, v, "right", s))
+        for p2, s in adj_l[p]:
+            if p2 > p:
+                v = get(p2 * order + r)
                 # a left move shifts the product by rho^-1 s rho, which need
                 # not be simple; only moves whose projection is a Cayley
                 # step are edges, or the projection could not preserve them
-                sigma, sigma2 = projection[u], projection[v]
-                if sigma2 in sys.right_cayley[sigma]:
+                if v is not None and projection[v] in right_cayley[projection[u]]:
                     edges.append((u, v, "left", s))
-    edges.sort(key=lambda e: (e[0], e[1]))
+    edges.sort()  # no two edges share (u, v), so this orders them by (u, v)
     adjacency: list[list[tuple[int, str, int]]] = [[] for _ in vertices]
     for u, v, side, s in edges:
         adjacency[u].append((v, side, s))
         adjacency[v].append((u, side, s))
-    for nbrs in adjacency:
-        nbrs.sort()
 
     fibers: dict[int, list[int]] = {t: [] for t in cls_t.members}
     for vid, prod in enumerate(projection):
@@ -183,17 +197,15 @@ def _wire(sys: CoxeterSystem, left: int, right: int, target: int,
     uf = UnionFind(range(len(vertices)))
     for u, v, _, _ in edges:
         uf.union(u, v)
-    comp_map = uf.component_ids(range(len(vertices)))
-    component = [comp_map[v] for v in range(len(vertices))]
-    n_comp = max(component) + 1 if component else 0
-
+    component = uf.component_ids(range(len(vertices)))
+    n_comp = max(component, default=-1) + 1
     degrees = _component_degrees(component, n_comp, fibers, cls_t,
                                  left, right, target)
 
     return CoveringInstance(
         left=left, right=right, target=target, system=sys,
         left_class=cls_l, right_class=cls_r, target_class=cls_t,
-        vertices=vertices, vertex_id=vertex_id, projection=projection,
+        vertices=vertices, id_by_key=id_by_key, projection=projection,
         edges=edges, adjacency=adjacency, fibers=fibers,
         component=component, degrees=degrees, fiber_size=fiber_size,
     )
@@ -267,9 +279,10 @@ def verify_covering(instance: CoveringInstance) -> CoveringReport:
         violations.append(f"no vertex projects onto {sys.format_index(missed[0])}")
 
     cls_t = instance.target_class
+    projection, adjacency = instance.projection, instance.adjacency
     edges_preserved = True
     for u, v, side, s in instance.edges:
-        pu, pv = instance.projection[u], instance.projection[v]
+        pu, pv = projection[u], projection[v]
         if pu == pv or all(nbr != pv for nbr, _ in cls_t.adjacency[pu]):
             edges_preserved = False
             violations.append(
@@ -282,7 +295,7 @@ def verify_covering(instance: CoveringInstance) -> CoveringReport:
     for w, z, _ in cls_t.edges:
         for a, b in ((w, z), (z, w)):
             for u in instance.fibers[a]:
-                hits = [v for v, _, _ in instance.adjacency[u] if instance.projection[v] == b]
+                hits = [v for v, _, _ in adjacency[u] if projection[v] == b]
                 if len(hits) != 1:
                     unique_lifting = False
                     violations.append(
@@ -296,7 +309,8 @@ def verify_covering(instance: CoveringInstance) -> CoveringReport:
     return CoveringReport(status, surjective, edges_preserved, unique_lifting, violations)
 
 
-def unique_lift_edge(sys: CoxeterSystem, vertex: Vertex, s: int) -> tuple[Vertex, str, int]:
+def unique_lift_edge(sys: CoxeterSystem, vertex: Vertex, s: int,
+                     sigma: int) -> tuple[Vertex, str, int]:
     """Lift one in-class step of the product through the factorization.
 
     Given a vertex (pi, rho) whose product sigma moves to sigma*s inside its
@@ -304,28 +318,32 @@ def unique_lift_edge(sys: CoxeterSystem, vertex: Vertex, s: int) -> tuple[Vertex
     in rho's class (the right coordinate moves by s), or rho s rho^-1 is a
     simple generator t and pi*t stays in pi's class (the left coordinate
     moves by t).  Returns the new vertex, the side and the moved generator.
+
+    `sigma` is the product pi*rho, as an instance's `projection` holds it;
+    nothing is multiplied out.  t is read off the tables by
+    `simple_conjugate`, since rho*s = t*rho.
     """
     p, r = vertex
-    sigma = sys.multiply_index(p, r)
-    sigma2 = sys.right_cayley[sigma][s]
-    if sys.recoils[sigma2] != sys.recoils[sigma]:
+    right, recoils = sys.right_cayley, sys.recoils
+    sigma2 = right[sigma][s]
+    if recoils[sigma2] != recoils[sigma]:
         raise NotAClassEdge(
             f"step {sys.format_index(sigma)} -> {sys.format_index(sigma2)} "
             "leaves the recoil class"
         )
-    r2 = sys.right_cayley[r][s]
-    if sys.recoils[r2] == sys.recoils[r]:
+    r2 = right[r][s]
+    if recoils[r2] == recoils[r]:
         return (p, r2), "right", s
-    t = conjugated_generator(sys, r, s)
+    t = simple_conjugate(sys, r, s)
     if t is None:
         raise InvariantViolation("neither factorization of the lifted step is valid")
-    p2 = sys.right_cayley[p][t]
-    if sys.recoils[p2] != sys.recoils[p]:
+    p2 = right[p][t]
+    if recoils[p2] != recoils[p]:
         raise InvariantViolation("left factorization left the first coordinate's class")
     return (p2, r), "left", t
 
 
-def cycle_rank(vertices: Iterable[Hashable], edges: Iterable[Sequence]) -> int:
+def cycle_rank(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> int:
     """Edges minus vertices plus components of a finite simple graph; the
     number of independent cycles (0 exactly for forests)."""
     uf = UnionFind(vertices)
@@ -333,7 +351,7 @@ def cycle_rank(vertices: Iterable[Hashable], edges: Iterable[Sequence]) -> int:
     for e in edges:
         uf.union(e[0], e[1])
         n_edges += 1
-    return n_edges - len(uf.parent) + uf.component_count()
+    return n_edges - len(uf.items) + uf.component_count()
 
 
 def class_cycle_rank(cls: RecoilClass) -> int:

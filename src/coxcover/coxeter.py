@@ -147,11 +147,6 @@ class CoxeterSpec:
             raise InvalidSpec(f"unknown kind {self.kind!r}")
 
 
-def _inversions(p: tuple[int, ...]) -> int:
-    n = len(p)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
-
-
 def _invert_oneline(p: tuple[int, ...]) -> tuple[int, ...]:
     q = [0] * len(p)
     for pos, val in enumerate(p):
@@ -194,15 +189,16 @@ class CoxeterSystem:
     """
 
     def __init__(self, spec: CoxeterSpec, elements: list[tuple[int, ...]],
-                 words: list[tuple[int, ...]], left_cayley: list[list[int]],
-                 right_cayley: list[list[int]], inverse_index: list[int]):
+                 index: dict[tuple[int, ...], int], words: list[tuple[int, ...]],
+                 left_cayley: list[list[int]], right_cayley: list[list[int]],
+                 inverse_index: list[int]):
         self.spec = spec
         self.kind = spec.kind
         self.rank = spec.rank
         self.n = spec.n
         self.matrix = spec.coxeter_matrix()
         self.elements = elements
-        self.index = {p: i for i, p in enumerate(elements)}
+        self.index = index
         self.words = words
         self.lengths = [len(w) for w in words]
         self.left_cayley = left_cayley
@@ -309,22 +305,22 @@ def _build_symmetric(spec: CoxeterSpec) -> CoxeterSystem:
         size *= k
         if size > spec.element_cap:
             raise CapExceeded(f"|S{n}| >= {size} exceeds element_cap {spec.element_cap}")
-    elements = sorted(permutations(range(1, n + 1)), key=lambda p: (_inversions(p), p))
+    # permutations() yields lex order, in which the k-th permutation has as
+    # many inversions as k has digit sum in the factorial base; a stable
+    # sort on that count gives the (length, one-line) order
+    lex = list(permutations(range(1, n + 1)))
+    inversions = [0]
+    for k in range(2, n + 1):
+        inversions = [d + x for d in range(k) for x in inversions]
+    order = sorted(range(len(lex)), key=inversions.__getitem__)
+    elements = [lex[k] for k in order]
+    del lex, inversions, order
     index = {p: i for i, p in enumerate(elements)}
-    right, left = [], []
-    for p in elements:
-        row = []
-        for s in range(n - 1):
-            q = list(p)
-            q[s], q[s + 1] = q[s + 1], q[s]
-            row.append(index[tuple(q)])
-        right.append(row)
-        row = []
-        for s in range(n - 1):
-            a, b = s + 1, s + 2
-            row.append(index[tuple(b if v == a else a if v == b else v for v in p)])
-        left.append(row)
+    right = [[index[p[:s] + (p[s + 1], p[s]) + p[s + 2:]] for s in range(n - 1)]
+             for p in elements]
     inverse = [index[_invert_oneline(p)] for p in elements]
+    # s*w = (w^-1 * s)^-1
+    left = [[inverse[j] for j in right[inverse[i]]] for i in range(len(elements))]
     # indices ascend with length, so s is a recoil of w exactly when s*w has
     # the smaller index; the lex-least reduced word starts with the smallest
     # recoil and continues with the word of s*w, already built
@@ -333,7 +329,7 @@ def _build_symmetric(spec: CoxeterSpec) -> CoxeterSystem:
         row = left[i]
         s = next(s for s in range(n - 1) if row[s] < i)
         words.append((s,) + words[row[s]])
-    return CoxeterSystem(spec, elements, words, left, right, inverse)
+    return CoxeterSystem(spec, elements, index, words, left, right, inverse)
 
 
 # Roots are told apart by their Euclidean coordinates rounded to this many
@@ -531,7 +527,8 @@ def _build_from_roots(spec: CoxeterSpec) -> CoxeterSystem:
             j = left[j][t]
         inverse.append(j)
     right = [[inverse[left[inverse[i]][s]] for s in range(rank)] for i in range(len(elements))]
-    return CoxeterSystem(spec, elements, elements, left, right, inverse)
+    index = {word: i for i, word in enumerate(elements)}
+    return CoxeterSystem(spec, elements, index, elements, left, right, inverse)
 
 
 def build_system(spec: CoxeterSpec) -> CoxeterSystem:

@@ -98,13 +98,21 @@ def braid_loop_exists_positional(sys: CoxeterSystem, w: int, i: int) -> bool:
 
 def lift_path(instance: CoveringInstance, start: Vertex, word: tuple[int, ...]) -> list[Vertex]:
     """The unique lift of a downstairs walk, one factorization step at a
-    time.  Raises NotAClassEdge if the walk leaves the target class."""
-    if start not in instance.vertex_id:
-        raise ValueError(f"{start} is not a vertex of this instance")
+    time.  The product starts as the projection of `start` and each step
+    advances it by one right Cayley lookup, so `unique_lift_edge` never
+    multiplies.  Raises NotAClassEdge if the walk leaves the target class."""
+    try:
+        vid = instance.id_of(start)
+    except KeyError:
+        raise ValueError(f"{start} is not a vertex of this instance") from None
+    sys = instance.system
+    right = sys.right_cayley
+    sigma = instance.projection[vid]
     path = [start]
     current = start
     for s in word:
-        current, _, _ = unique_lift_edge(instance.system, current, s)
+        current, _, _ = unique_lift_edge(sys, current, s, sigma)
+        sigma = right[sigma][s]
         path.append(current)
     return path
 
@@ -118,7 +126,7 @@ def loop_action(instance: CoveringInstance, loop: Loop) -> FiberAction:
     permutation: dict[int, int] = {}
     for vid in fiber:
         path = lift_path(instance, instance.vertices[vid], loop.word)
-        end = instance.vertex_id[path[-1]]
+        end = instance.id_of(path[-1])
         if instance.projection[end] != loop.base:
             raise InvariantViolation("lifted loop did not end over its base")
         permutation[vid] = end
@@ -280,6 +288,6 @@ def conjugate_action(instance: CoveringInstance, loop: Loop,
         back = lift_path(instance, vertex, tuple(reversed(path_word)))
         looped = lift_path(instance, back[-1], loop.word)
         forward = lift_path(instance, looped[-1], path_word)
-        permutation[vid] = instance.vertex_id[forward[-1]]
+        permutation[vid] = instance.id_of(forward[-1])
     moved = Loop(end, tuple(reversed(path_word)) + loop.word + path_word, loop.kind)
     return FiberAction(moved, permutation, _permutation_order(permutation))

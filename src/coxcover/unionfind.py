@@ -1,37 +1,46 @@
-"""Disjoint-set forest over arbitrary hashable items."""
+"""Disjoint-set forest over non-negative integer items (element indices or
+vertex ids), kept in a list indexed by item."""
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Iterable
 
 
 class UnionFind:
-    def __init__(self, items: Iterable[Hashable] = ()):
-        self.parent: dict = {x: x for x in items}
+    """Every root is the smallest item of its set: a union links the larger
+    root under the smaller one."""
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
+    def __init__(self, items: Iterable[int] = ()):
+        self.items: list[int] = list(items)
+        self.parent: list[int] = list(range(max(self.items, default=-1) + 1))
 
-    def union(self, x, y) -> None:
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:  # path halving
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x: int, y: int) -> None:
         rx, ry = self.find(x), self.find(y)
-        if rx != ry:
+        if rx < ry:
             self.parent[ry] = rx
+        elif ry < rx:
+            self.parent[rx] = ry
 
     def component_count(self) -> int:
-        return sum(1 for x in self.parent if self.parent[x] == x)
+        parent = self.parent
+        return sum(1 for x in self.items if parent[x] == x)
 
-    def component_ids(self, order: Iterable[Hashable]) -> dict:
-        """Map item -> small int id, ids assigned by first appearance in `order`."""
-        ids: dict = {}
-        out = {}
+    def component_ids(self, order: Iterable[int]) -> list[int]:
+        """Small int id of each item of `order`, in that order, ids assigned
+        by first appearance; over ascending items a component's id follows
+        its smallest member."""
+        ids: dict[int, int] = {}
+        out = []
         for x in order:
             root = self.find(x)
             if root not in ids:
                 ids[root] = len(ids)
-            out[x] = ids[root]
+            out.append(ids[root])
         return out

@@ -5,6 +5,15 @@ independent routes wherever one exists (positional criteria against table
 lookups, covering degrees against the convolution oracle, formula extremes
 against class scans).  The CLI `verify` command runs all of them and fails
 on the first witness.
+
+The covering-axiom, lift-dichotomy and monodromy checks share one streamed
+sweep over the covering instances: every non-empty instance of every
+product is built once, handed to all three, and dropped before the next;
+only its fiber size is kept, for the algebra check's comparison with the
+convolution oracle.  A monodromy violation raises from inside that sweep,
+before the algebra check has run, so it can pre-empt an error that check
+would raise; either way the CLI prints only the group header and one
+`invariant failure:` line, and exits 1.
 """
 
 from __future__ import annotations
@@ -12,13 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .algebra import (
-    AlgebraElement,
-    convolution_oracle,
-    product_expand,
-    x_from_y,
-    y_from_x,
-)
+from .algebra import AlgebraElement, convolution_oracle, x_from_y, y_from_x
 from .coxeter import CoxeterSystem, positional_recoils
 from .covering import (
     iter_fibered_graphs,
@@ -27,7 +30,7 @@ from .covering import (
     verify_covering,
 )
 from .gensets import format_subset, iter_subsets
-from .monodromy import monodromy_report, relation_loops
+from .monodromy import monodromy_report
 from .recoil import (
     alpha_oneline,
     beta_oneline,
@@ -38,6 +41,9 @@ from .recoil import (
     same_class_edge_index,
 )
 from .unionfind import UnionFind
+
+
+FiberSizes = dict[tuple[int, int], dict[int, int]]  # (I, J) -> {K: structure constant}
 
 
 @dataclass
@@ -134,11 +140,20 @@ def _check_classes(sys: CoxeterSystem) -> CheckResult:
     return res
 
 
-def _check_coverings(sys: CoxeterSystem) -> CheckResult:
+def _check_coverings(sys: CoxeterSystem, fiber_sizes: FiberSizes,
+                     monodromy: CheckResult) -> CheckResult:
+    """The one pass over instances: every non-empty instance of every
+    product is built once and handed to the covering-axiom check, the lift
+    dichotomy and the monodromy check (which fills in `monodromy`).  Only
+    the fiber sizes are kept, in `fiber_sizes[(I, J)]`, for the oracle
+    comparison."""
     res = CheckResult("covering axioms")
+    conjugates: dict[int, int | None] = {}
     for left in iter_subsets(sys.rank):
         for right in iter_subsets(sys.rank):
+            sizes = fiber_sizes[left, right] = {}
             for target, inst in iter_fibered_graphs(sys, left, right):
+                sizes[target] = inst.fiber_size
                 res.checked += 1
                 report = verify_covering(inst)
                 if not report.ok:
@@ -149,40 +164,63 @@ def _check_coverings(sys: CoxeterSystem) -> CheckResult:
                     res.fail(f"partition does not sum to the constant for "
                              f"({format_subset(left)}, {format_subset(right)}, "
                              f"{format_subset(target)})")
-                _check_lift_dichotomy(sys, inst, res)
+                _check_lift_dichotomy(sys, inst, res, conjugates)
+                _check_instance_monodromy(inst, monodromy)
     return res
 
 
-def _check_lift_dichotomy(sys, inst, res: CheckResult) -> None:
+def _check_lift_dichotomy(sys, inst, res: CheckResult,
+                          conjugates: dict[int, int | None]) -> None:
     """Both candidate factorizations of every in-class step, brute-forced:
-    exactly one must stay in its class, and it must match unique_lift_edge."""
+    exactly one must stay in its class, and it must match unique_lift_edge.
+    The conjugate of s by rho depends on (rho, s) alone, so it is
+    multiplied out once per pair and kept in `conjugates` under
+    rho*rank + s."""
+    rank, right, recoils = sys.rank, sys.right_cayley, sys.recoils
     for vid, (p, r) in enumerate(inst.vertices):
         sigma = inst.projection[vid]
-        for s in range(sys.rank):
-            if not same_class_edge_index(sys, sigma, s):
-                continue
+        for s in range(rank):
+            if recoils[right[sigma][s]] != recoils[sigma]:
+                continue  # not an in-class step
             res.checked += 1
-            right_ok = same_class_edge_index(sys, r, s)
-            conj = conjugated_generator(sys, r, s)
-            left_ok = conj is not None and same_class_edge_index(sys, p, conj)
+            right_ok = recoils[right[r][s]] == recoils[r]
+            key = r * rank + s
+            if key in conjugates:
+                conj = conjugates[key]
+            else:
+                conj = conjugates[key] = conjugated_generator(sys, r, s)
+            left_ok = conj is not None and recoils[right[p][conj]] == recoils[p]
             if right_ok == left_ok:
                 res.fail(f"lift dichotomy failed at {(p, r)} step s{s + 1}")
                 continue
-            vertex, side, gen = unique_lift_edge(sys, (p, r), s)
-            expect = ((p, sys.right_cayley[r][s]), "right", s) if right_ok \
-                else ((sys.right_cayley[p][conj], r), "left", conj)
+            vertex, side, gen = unique_lift_edge(sys, (p, r), s, sigma)
+            expect = ((p, right[r][s]), "right", s) if right_ok \
+                else ((right[p][conj], r), "left", conj)
             if (vertex, side, gen) != expect:
                 res.fail(f"unique_lift_edge disagrees with brute force at {(p, r)} s{s + 1}")
 
 
-def _check_algebra(sys: CoxeterSystem, rng: random.Random) -> CheckResult:
+def _check_instance_monodromy(inst, res: CheckResult) -> None:
+    """Lift every relation loop of the target class; `monodromy_report`
+    raises on any violation, and braid loops must act with order 1 or 2."""
+    res.checked += 1
+    report = monodromy_report(inst)
+    if report.braid_orders and not set(report.braid_orders) <= {1, 2}:
+        res.fail(f"braid order outside 1..2 at ({format_subset(inst.left)}, "
+                 f"{format_subset(inst.right)}, {format_subset(inst.target)})")
+
+
+def _check_algebra(sys: CoxeterSystem, rng: random.Random,
+                   fiber_sizes: FiberSizes) -> CheckResult:
+    """Covering constants, as the fiber sizes the sweep kept, against the
+    convolution oracle and the counting identity, plus basis round trips."""
     res = CheckResult("products vs oracle")
     class_sizes = {subset: len(recoil_class(sys, subset).members)
                    for subset in iter_subsets(sys.rank)}
     for left in iter_subsets(sys.rank):
         for right in iter_subsets(sys.rank):
             res.checked += 1
-            expansion = product_expand(sys, left, right)
+            expansion = AlgebraElement.make("Y", fiber_sizes[left, right])
             if expansion != convolution_oracle(sys, left, right):
                 res.fail(f"oracle mismatch at ({format_subset(left)}, {format_subset(right)})")
             if any(c <= 0 for _, c in expansion.coeffs):
@@ -201,29 +239,26 @@ def _check_algebra(sys: CoxeterSystem, rng: random.Random) -> CheckResult:
     return res
 
 
-def _check_monodromy(sys: CoxeterSystem) -> CheckResult:
-    res = CheckResult("monodromy")
-    for subset in iter_subsets(sys.rank):
-        relation_loops(sys, recoil_class(sys, subset))
-    for left in iter_subsets(sys.rank):
-        for right in iter_subsets(sys.rank):
-            for target, inst in iter_fibered_graphs(sys, left, right):
-                res.checked += 1
-                report = monodromy_report(inst)  # raises on any violation
-                if report.braid_orders and not set(report.braid_orders) <= {1, 2}:
-                    res.fail(f"braid order outside 1..2 at ({format_subset(left)}, "
-                             f"{format_subset(right)}, {format_subset(target)})")
+def _check_monodromy(sys: CoxeterSystem, res: CheckResult) -> CheckResult:
+    """This check ran inside the covering sweep and filled in `res`: every
+    class is the target of a non-empty instance (the empty set times it),
+    so `monodromy_report` has lifted the relation loops of every class."""
     return res
 
 
 def run_invariant_sweep(sys: CoxeterSystem, seed: int = 0) -> list[CheckResult]:
+    """All seven checks, in their printed order.  The covering, algebra and
+    monodromy checks share one streamed pass over the covering instances,
+    run inside `_check_coverings`."""
     rng = random.Random(seed)
+    fiber_sizes: FiberSizes = {}
+    monodromy = CheckResult("monodromy")
     return [
         _check_cayley(sys),
         _check_recoil_descent(sys),
         _check_class_edges(sys),
         _check_classes(sys),
-        _check_coverings(sys),
-        _check_algebra(sys, rng),
-        _check_monodromy(sys),
+        _check_coverings(sys, fiber_sizes, monodromy),
+        _check_algebra(sys, rng, fiber_sizes),
+        _check_monodromy(sys, monodromy),
     ]

@@ -7,7 +7,9 @@ import time
 
 import pytest
 
+from coxcover import verify
 from coxcover.cli import main
+from coxcover.errors import InvariantViolation
 
 B3_JSON = {"rank": 3, "m": [[1, 4, 2], [4, 1, 3], [2, 3, 1]], "element_cap": 200000}
 
@@ -126,11 +128,49 @@ def test_monodromy_empty(capsys):
     assert data["empty"] is True and data["braid_loops"] == 0
 
 
+VERIFY_OUTPUT = {
+    "S4": """group S4: 24 elements, rank 3
+cayley tables: ok (146 checks)
+recoils vs descents: ok (24 checks)
+class-edge criteria: ok (72 checks)
+recoil classes: ok (8 checks)
+covering axioms: ok (1052 checks)
+products vs oracle: ok (89 checks)
+monodromy: ok (188 checks)
+all checks passed (1579 total)
+""",
+    "I8": """group I8: 16 elements, rank 2
+cayley tables: ok (66 checks)
+recoils vs descents: ok (16 checks)
+class-edge criteria: ok (32 checks)
+recoil classes: ok (4 checks)
+covering axioms: ok (412 checks)
+products vs oracle: ok (41 checks)
+monodromy: ok (28 checks)
+all checks passed (599 total)
+""",
+}
+
+
 def test_verify_groups(capsys):
-    for group in ("S4", "I8"):
+    for group, expected in VERIFY_OUTPUT.items():
         code, out = run_cli(capsys, "verify", "--group", group)
         assert code == 0
-        assert "all checks passed" in out
+        assert out == expected
+
+
+def test_verify_monodromy_violation_ends_the_run(capsys, monkeypatch):
+    # monodromy runs inside the covering sweep, before the algebra check;
+    # a raised violation still leaves only the header and one error line
+    def broken(instance):
+        raise InvariantViolation("injected monodromy failure")
+
+    monkeypatch.setattr(verify, "monodromy_report", broken)
+    code = main(["verify", "--group", "S3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "group S3: 6 elements, rank 2\n"
+    assert captured.err == "invariant failure: injected monodromy failure\n"
 
 
 def test_verify_matrix_file(tmp_path, capsys):

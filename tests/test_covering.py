@@ -16,6 +16,7 @@ from coxcover import (
 )
 from coxcover.gensets import iter_subsets
 from coxcover.recoil import conjugated_generator, same_class_edge_index
+from coxcover.unionfind import UnionFind
 
 from .support import compose, oracle_class, oracle_class_edges, perm, subset
 
@@ -138,31 +139,31 @@ def test_left_moves_with_nonsimple_conjugate_are_not_edges(s5):
     pi = s5.index[perm("41352")]
     pi2 = s5.index[perm("43152")]
     rho = s5.index[perm("15243")]
-    u = inst.vertex_id[(pi, rho)]
-    v = inst.vertex_id[(pi2, rho)]
+    u = inst.id_of((pi, rho))
+    v = inst.id_of((pi2, rho))
     assert all(nbr != v for nbr, _, _ in inst.adjacency[u])
 
 
 def test_unique_lift_left_case(s4):
     vertex = (s4.index[perm("2314")], s4.index[perm("1243")])
-    lifted, side, gen = unique_lift_edge(s4, vertex, 2)
+    lifted, side, gen = unique_lift_edge(s4, vertex, 2, s4.multiply_index(*vertex))
     assert side == "left" and gen == 2
     assert tuple(s4.elements[i] for i in lifted) == (perm("2341"), perm("1243"))
 
 
 def test_unique_lift_right_case(s4):
     vertex = (s4.index[perm("2341")], s4.index[perm("1243")])
-    lifted, side, gen = unique_lift_edge(s4, vertex, 1)
+    lifted, side, gen = unique_lift_edge(s4, vertex, 1, s4.multiply_index(*vertex))
     assert side == "right" and gen == 1
     assert tuple(s4.elements[i] for i in lifted) == (perm("2341"), perm("1423"))
 
 
 def test_unique_lift_dihedral(i6):
     s, t = i6.gen_index
-    lifted, side, gen = unique_lift_edge(i6, (s, t), 0)
+    lifted, side, gen = unique_lift_edge(i6, (s, t), 0, i6.multiply_index(s, t))
     assert side == "right"
     assert tuple(i6.format_index(i) for i in lifted) == ("s", "ts")
-    lifted, side, gen = unique_lift_edge(i6, (s, t), 1)
+    lifted, side, gen = unique_lift_edge(i6, (s, t), 1, i6.multiply_index(s, t))
     assert side == "left" and gen == 1
     assert tuple(i6.format_index(i) for i in lifted) == ("st", "t")
 
@@ -171,10 +172,10 @@ def test_unique_lift_requires_class_edge(s4):
     # both these steps leave the product's recoil class
     v1 = (s4.index[perm("2314")], s4.index[perm("1243")])
     with pytest.raises(NotAClassEdge):
-        unique_lift_edge(s4, v1, 1)
+        unique_lift_edge(s4, v1, 1, s4.multiply_index(*v1))
     v2 = (s4.index[perm("2134")], s4.index[perm("1243")])
     with pytest.raises(NotAClassEdge):
-        unique_lift_edge(s4, v2, 2)
+        unique_lift_edge(s4, v2, 2, s4.multiply_index(*v2))
 
 
 def test_lift_dichotomy_brute_force(s4):
@@ -192,9 +193,29 @@ def test_lift_dichotomy_brute_force(s4):
                         conj = conjugated_generator(s4, r, s)
                         left_ok = conj is not None and same_class_edge_index(s4, p, conj)
                         assert right_ok != left_ok
-                        vertex, side, _ = unique_lift_edge(s4, (p, r), s)
+                        vertex, side, _ = unique_lift_edge(s4, (p, r), s, sigma)
                         assert side == ("right" if right_ok else "left")
-                        assert vertex in inst.vertex_id
+                        assert inst.id_of(vertex) >= 0  # KeyError if not a vertex
+
+
+@pytest.mark.parametrize("group", ["s4", "i6", "b3"])
+def test_unique_lift_with_known_product_matches_multiplied(group, request):
+    sys_ = request.getfixturevalue(group)
+    steps = 0
+    for left in iter_subsets(sys_.rank):
+        for right in iter_subsets(sys_.rank):
+            for _, inst in iter_fibered_graphs(sys_, left, right):
+                for vid, vertex in enumerate(inst.vertices):
+                    sigma = inst.projection[vid]
+                    for s in range(sys_.rank):
+                        if not same_class_edge_index(sys_, sigma, s):
+                            with pytest.raises(NotAClassEdge):
+                                unique_lift_edge(sys_, vertex, s, sigma)
+                            continue
+                        steps += 1
+                        assert unique_lift_edge(sys_, vertex, s, sigma) == \
+                            unique_lift_edge(sys_, vertex, s, sys_.multiply_index(*vertex))
+    assert steps > 0
 
 
 def test_fiber_constancy_and_counting(s5):
@@ -213,6 +234,18 @@ def test_cycle_rank():
     assert cycle_rank([1, 2, 3], [(1, 2), (2, 3)]) == 0
     assert cycle_rank([1, 2, 3], [(1, 2), (2, 3), (1, 3)]) == 1
     assert cycle_rank([1, 2, 3, 4], [(1, 2), (3, 4)]) == 0
+
+
+def test_union_find_roots_are_smallest_members():
+    # sparse items, as class members are: the list spans 0..max, but only
+    # the items count as components
+    uf = UnionFind([9, 4, 7, 2, 5])
+    for x, y in ((4, 9), (7, 9), (5, 2)):
+        uf.union(x, y)
+    assert [uf.find(x) for x in (9, 4, 7, 2, 5)] == [4, 4, 4, 2, 2]
+    assert uf.component_count() == 2
+    assert uf.component_ids([2, 4, 5, 7, 9]) == [0, 1, 0, 1, 1]
+    assert UnionFind().component_count() == 0
 
 
 def test_cycle_rank_of_classes(s4, s5):

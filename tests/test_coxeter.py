@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import time
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,19 @@ def test_enumeration_is_deterministic():
     third = build_system(CoxeterSpec.dihedral(5))
     fourth = build_system(CoxeterSpec.dihedral(5))
     assert third.elements == fourth.elements
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symmetric_enumeration_order_and_left_table(n):
+    # elements ascend by (inversions, one-line form); s*w swaps the values
+    # s+1 and s+2 of w's one-line form
+    system = build_system(CoxeterSpec.symmetric(n))
+    assert system.elements == sorted(permutations(range(1, n + 1)),
+                                     key=lambda p: (oracle_inversions(p), p))
+    for i, p in enumerate(system.elements):
+        for s in range(n - 1):
+            swapped = tuple(s + 2 if v == s + 1 else s + 1 if v == s + 2 else v for v in p)
+            assert system.elements[system.left_cayley[i][s]] == swapped
 
 
 def test_enumeration_breadth_first_lex(s4, b3):

@@ -10,11 +10,13 @@ from coxcover import (
     build_fibered_graph,
     component_isomorphisms,
     conjugate_action,
+    iter_fibered_graphs,
     lift_path,
     loop_action,
     monodromy_report,
     recoil_class,
     relation_loops,
+    unique_lift_edge,
 )
 from coxcover.errors import NotAClassEdge
 from coxcover.gensets import iter_subsets
@@ -103,6 +105,42 @@ def test_lift_path_rejects_leaving_class(s4):
         lift_path(inst, start, (0,))  # a step by s1 exits the target class
     with pytest.raises(ValueError):
         lift_path(inst, (0, 0), ())
+    # out-of-range coordinates whose key p*|W| + r is that of a real vertex
+    p, r = start
+    order = len(s4.elements)
+    for fake in ((p - 1, r + order), (p + 1, r - order)):
+        with pytest.raises(ValueError):
+            lift_path(inst, fake, ())
+
+
+@pytest.mark.parametrize("group", ["s4", "i6"])
+def test_lift_path_two_steps_matches_multiplied_lifts(group, request):
+    # every two-letter walk from every vertex: the lift equals two lifts that
+    # multiply their products out, and a walk whose second step leaves the
+    # target class is refused
+    sys_ = request.getfixturevalue(group)
+    refused = 0
+    for left in iter_subsets(sys_.rank):
+        for right in iter_subsets(sys_.rank):
+            for _, inst in iter_fibered_graphs(sys_, left, right):
+                for vid, start in enumerate(inst.vertices):
+                    sigma = inst.projection[vid]
+                    for s1 in range(sys_.rank):
+                        mid = sys_.right_cayley[sigma][s1]
+                        if sys_.recoils[mid] != sys_.recoils[sigma]:
+                            continue
+                        for s2 in range(sys_.rank):
+                            if sys_.recoils[sys_.right_cayley[mid][s2]] != sys_.recoils[mid]:
+                                refused += 1
+                                with pytest.raises(NotAClassEdge):
+                                    lift_path(inst, start, (s1, s2))
+                                continue
+                            first, _, _ = unique_lift_edge(sys_, start, s1,
+                                                           sys_.multiply_index(*start))
+                            second, _, _ = unique_lift_edge(sys_, first, s2,
+                                                          sys_.multiply_index(*first))
+                            assert lift_path(inst, start, (s1, s2)) == [start, first, second]
+    assert refused > 0
 
 
 def test_reference_braid_loop_swaps_fiber(s5):
@@ -179,7 +217,7 @@ def test_base_point_independence(s5):
     transport = {}
     for vid in inst.fibers[base]:
         lifted = lift_path(inst, inst.vertices[vid], (3,))
-        transport[vid] = inst.vertex_id[lifted[-1]]
+        transport[vid] = inst.id_of(lifted[-1])
     conjugated = {
         transport[v]: transport[direct.permutation[v]] for v in direct.permutation}
     assert conjugated == moved.permutation

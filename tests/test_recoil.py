@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 from coxcover import (
+    CoxeterSpec,
     alpha_oneline,
     beta_oneline,
+    build_system,
     class_extremes,
     class_graph_dot,
     conjugated_generator,
@@ -13,9 +15,11 @@ from coxcover.recoil import (
     class_interval_matches,
     positional_same_class,
     same_class_edge_index,
+    simple_conjugate,
 )
 from coxcover.unionfind import UnionFind
 
+from .conftest import B3_MATRIX, H3_MATRIX
 from .support import oracle_class, oracle_class_edges, perm, subset
 
 
@@ -127,6 +131,22 @@ def test_edge_criteria_agree(s4, s5, i6, b3):
                 assert by_recoil == (conjugated_generator(sys_, w, s) is None)
                 if sys_.kind == "symmetric":
                     assert by_recoil == positional_same_class(sys_, w, s)
+
+
+def test_table_conjugate_matches_multiplication():
+    # w s w^-1 read off the Cayley tables equals the multiplied-out conjugate
+    f4 = [[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]]
+    specs = [CoxeterSpec.symmetric(n) for n in (4, 5, 6)] + [
+        CoxeterSpec.from_matrix(m) for m in (B3_MATRIX, H3_MATRIX, f4)]
+    for spec in specs:
+        sys_ = build_system(spec)
+        simple = 0
+        for w in range(len(sys_)):
+            for s in range(sys_.rank):
+                t = simple_conjugate(sys_, w, s)
+                assert t == conjugated_generator(sys_, w, s), (spec.describe(), w, s)
+                simple += t is not None
+        assert 0 < simple < len(sys_) * sys_.rank
 
 
 def test_recoil_growth_dichotomy(s4, i6, b3):
