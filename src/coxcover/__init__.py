@@ -10,7 +10,6 @@ from .algebra import (
     expansion_rows,
     full_table,
     product_expand,
-    structure_constant,
     x_from_y,
     y_from_x,
 )
@@ -19,14 +18,12 @@ from .covering import (
     CoveringInstance,
     CoveringReport,
     build_fibered_graph,
-    class_cycle_rank,
-    cycle_rank,
     iter_fibered_graphs,
     multiplicity_partition,
     unique_lift_edge,
     verify_covering,
 )
-from .dot import class_graph_dot, covering_dot
+from .dot import covering_dot
 from .errors import (
     CapExceeded,
     ClassInconstant,
@@ -35,7 +32,6 @@ from .errors import (
     InvalidSpec,
     InvariantViolation,
     NotAClassEdge,
-    NotADescent,
     OracleMismatch,
     OrderViolation,
 )
@@ -43,9 +39,7 @@ from .monodromy import (
     FiberAction,
     Loop,
     MonodromyReport,
-    braid_loop_exists_positional,
     component_isomorphisms,
-    conjugate_action,
     lift_path,
     loop_action,
     monodromy_report,
@@ -55,7 +49,6 @@ from .recoil import (
     RecoilClass,
     alpha_oneline,
     beta_oneline,
-    class_extremes,
     conjugated_generator,
     recoil_class,
 )

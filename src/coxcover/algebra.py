@@ -6,8 +6,8 @@ back into class sums:
 - the covering route reads each coefficient off a fibered-product instance
   as its constant fiber size.  `product_expand` and `expansion_rows` take
   every non-empty instance of a product from one bucketed pass over the
-  pairs (`iter_fibered_graphs`); `structure_constant` builds the single
-  instance of one target.
+  pairs (`iter_fibered_graphs`); the coefficient of one target alone is
+  `build_fibered_graph(sys, I, J, K).fiber_size`.
 - The convolution oracle multiplies out all pairs in the group algebra and
   tallies per element (`convolution_oracle`).  It keeps its own scan, so it
   shares no code with the route it checks.
@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .coxeter import CoxeterSystem
-from .covering import build_fibered_graph, iter_fibered_graphs, multiplicity_partition
+from .covering import iter_fibered_graphs, multiplicity_partition
 from .errors import ClassInconstant, OracleMismatch
 from .gensets import format_subset, iter_subsets, one_based
 from .recoil import recoil_class
@@ -62,12 +62,6 @@ class AlgebraElement:
             head = "" if c == 1 else f"{c} "
             terms.append(f"{head}{self.basis}_{format_subset(mask)}")
         return " + ".join(terms)
-
-
-def structure_constant(sys: CoxeterSystem, left: int, right: int, target: int) -> int:
-    """Coefficient of the target class in the product of two class sums:
-    the constant fiber size of the covering instance (0 when empty)."""
-    return build_fibered_graph(sys, left, right, target).fiber_size
 
 
 def product_expand(sys: CoxeterSystem, left: int, right: int) -> AlgebraElement:

@@ -6,13 +6,15 @@ Subsets are comma-separated 1-based generator indices; the empty string is
 the empty set, and s/t alias 1/2 for dihedral groups.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 element cap
-exceeded.
+exceeded, 141 (128 + SIGPIPE) when the reader closes stdout early, as in
+`coxcover table --group S6 | head`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys as _sys
 from dataclasses import replace
 
@@ -29,6 +31,7 @@ EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what shells report for `cat` in that case
 
 
 class UsageError(Exception):
@@ -231,6 +234,13 @@ def main(argv: list[str] | None = None) -> int:
     except CoxeterError as exc:
         print(f"invariant failure: {exc}", file=_sys.stderr)
         return EXIT_INVARIANT
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to /dev/null so
+        # the flush at exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, _sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ descent algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 from .coxeter import CoxeterSystem
 from .errors import FiberInconstant, InvariantViolation, NotAClassEdge
@@ -194,7 +194,7 @@ def _wire(sys: CoxeterSystem, left: int, right: int, target: int,
         )
     fiber_size = sizes.pop() if sizes else 0
 
-    uf = UnionFind(range(len(vertices)))
+    uf = UnionFind(len(vertices))
     for u, v, _, _ in edges:
         uf.union(u, v)
     component = uf.component_ids(range(len(vertices)))
@@ -341,18 +341,3 @@ def unique_lift_edge(sys: CoxeterSystem, vertex: Vertex, s: int,
     if recoils[p2] != recoils[p]:
         raise InvariantViolation("left factorization left the first coordinate's class")
     return (p2, r), "left", t
-
-
-def cycle_rank(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> int:
-    """Edges minus vertices plus components of a finite simple graph; the
-    number of independent cycles (0 exactly for forests)."""
-    uf = UnionFind(vertices)
-    n_edges = 0
-    for e in edges:
-        uf.union(e[0], e[1])
-        n_edges += 1
-    return n_edges - len(uf.items) + uf.component_count()
-
-
-def class_cycle_rank(cls: RecoilClass) -> int:
-    return cycle_rank(cls.members, cls.edges)

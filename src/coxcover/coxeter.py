@@ -35,7 +35,7 @@ Conventions, fixed once and used everywhere:
 >>> sys4 = build_system(CoxeterSpec.symmetric(4))
 >>> len(sys4.elements)
 24
->>> u = sys4.index[(2, 1, 3, 4)]; v = sys4.index[(1, 2, 4, 3)]
+>>> u = sys4.elements.index((2, 1, 3, 4)); v = sys4.word_index((2,))
 >>> sys4.elements[sys4.multiply_index(u, v)]
 (2, 1, 4, 3)
 >>> sys4.words[sys4.longest_index]
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
-from .errors import CapExceeded, InvalidSpec, InvariantViolation, NotADescent
+from .errors import CapExceeded, InvalidSpec, InvariantViolation
 
 DEFAULT_ELEMENT_CAP = 200_000
 
@@ -173,7 +173,6 @@ class CoxeterSystem:
       spec           the defining CoxeterSpec
       rank           number of simple generators
       elements       index -> stored form (one-line tuple or canonical word)
-      index          stored form -> index
       words          index -> lexicographically least reduced word; the
                      same list as `elements` for word-stored groups
       lengths        index -> Coxeter length, len(words[i])
@@ -189,7 +188,7 @@ class CoxeterSystem:
     """
 
     def __init__(self, spec: CoxeterSpec, elements: list[tuple[int, ...]],
-                 index: dict[tuple[int, ...], int], words: list[tuple[int, ...]],
+                 words: list[tuple[int, ...]],
                  left_cayley: list[list[int]], right_cayley: list[list[int]],
                  inverse_index: list[int]):
         self.spec = spec
@@ -198,7 +197,6 @@ class CoxeterSystem:
         self.n = spec.n
         self.matrix = spec.coxeter_matrix()
         self.elements = elements
-        self.index = index
         self.words = words
         self.lengths = [len(w) for w in words]
         self.left_cayley = left_cayley
@@ -251,33 +249,7 @@ class CoxeterSystem:
         between = self.multiply_index(self.inverse_index[u], w)
         return self.lengths[u] + self.lengths[between] == self.lengths[w]
 
-    def apply_exchange(self, word: Sequence[int], s: int) -> tuple[int, ...]:
-        """Delete one letter of a reduced word so it spells s*w.
-
-        Requires len(s*w) == len(w) - 1; raises NotADescent otherwise.
-        When several deletions work, the smallest index is removed.
-        """
-        seq = tuple(word)
-        i = 0
-        for step, t in enumerate(seq):
-            nxt = self.right_cayley[i][t]
-            if self.lengths[nxt] != step + 1:
-                raise ValueError("word is not reduced")
-            i = nxt
-        target = self.left_cayley[i][s]
-        if self.lengths[target] == self.lengths[i] + 1:
-            raise NotADescent(f"generator {s + 1} does not shorten this word")
-        for cut in range(len(seq)):
-            candidate = seq[:cut] + seq[cut + 1 :]
-            if self.word_index(candidate) == target:
-                return candidate
-        raise InvariantViolation("exchange property produced no valid deletion")
-
     # -- presentation --------------------------------------------------------
-
-    def order_product(self, s: int, t: int) -> int:
-        """Order m(s, t) of the product of two generators (0 means infinite)."""
-        return self.matrix[s][t]
 
     def format_index(self, i: int) -> str:
         payload = self.elements[i]
@@ -329,7 +301,7 @@ def _build_symmetric(spec: CoxeterSpec) -> CoxeterSystem:
         row = left[i]
         s = next(s for s in range(n - 1) if row[s] < i)
         words.append((s,) + words[row[s]])
-    return CoxeterSystem(spec, elements, index, words, left, right, inverse)
+    return CoxeterSystem(spec, elements, words, left, right, inverse)
 
 
 # Roots are told apart by their Euclidean coordinates rounded to this many
@@ -492,12 +464,17 @@ def _build_from_roots(spec: CoxeterSpec) -> CoxeterSystem:
                 if k in known:
                     raise InvariantViolation("root identification failed: BFS reached "
                                              "a known element without a back link")
-                grown.setdefault(k, {})[s] = u
+                links = grown.get(k)
+                if links is None:
+                    # refuse at the first element over the cap, before the
+                    # rest of the level is built
+                    if len(elements) + len(grown) >= cap:
+                        raise CapExceeded(f"{spec.describe()} has more than {cap} elements, "
+                                          f"so it exceeds element_cap {cap}")
+                    links = grown[k] = {}
+                links[s] = u
         if not grown:
             break
-        if len(elements) + len(grown) > cap:
-            raise CapExceeded(f"{spec.describe()} has more than {cap} elements, "
-                              f"so it exceeds element_cap {cap}")
         # each s in links is a recoil; the lex-least reduced word starts
         # with the smallest one and continues with the word of s*w
         fresh = []
@@ -527,8 +504,7 @@ def _build_from_roots(spec: CoxeterSpec) -> CoxeterSystem:
             j = left[j][t]
         inverse.append(j)
     right = [[inverse[left[inverse[i]][s]] for s in range(rank)] for i in range(len(elements))]
-    index = {word: i for i, word in enumerate(elements)}
-    return CoxeterSystem(spec, elements, index, elements, left, right, inverse)
+    return CoxeterSystem(spec, elements, elements, left, right, inverse)
 
 
 def build_system(spec: CoxeterSpec) -> CoxeterSystem:

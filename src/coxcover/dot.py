@@ -1,30 +1,16 @@
-"""Graphviz exports of class graphs and covering instances.
+"""Graphviz export of covering instances.
 
-Class graphs label vertices by one-line notation (or reduced word) and
-edges by the 1-based generator index.  Covering graphs name vertices
-"(pi|rho)" and color edges by the coordinate that moves: blue for the
-right coordinate, red for the left one.
+Vertices are named "(pi|rho)", each coordinate in one-line notation (or
+as a reduced word); edges are labelled by the 1-based generator index and
+colored by the coordinate that moves: blue for the right coordinate, red
+for the left one.
 """
 
 from __future__ import annotations
 
-from .coxeter import CoxeterSystem
 from .covering import CoveringInstance
-from .recoil import RecoilClass
 
 _SIDE_COLORS = {"right": "blue", "left": "red"}
-
-
-def class_graph_dot(sys: CoxeterSystem, cls: RecoilClass, name: str = "recoil_class") -> str:
-    lines = [f"graph {name} {{"]
-    for w in cls.members:
-        lines.append(f'  "{sys.format_index(w)}";')
-    for u, v, s in cls.edges:
-        lines.append(
-            f'  "{sys.format_index(u)}" -- "{sys.format_index(v)}" [label="{s + 1}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def covering_dot(instance: CoveringInstance, name: str = "covering") -> str:

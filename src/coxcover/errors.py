@@ -13,10 +13,6 @@ class CapExceeded(CoxeterError):
     """Enumeration would exceed the element cap (group too large or infinite)."""
 
 
-class NotADescent(CoxeterError):
-    """A word was asked to shorten by a generator that lengthens it."""
-
-
 class NotAClassEdge(CoxeterError):
     """A step that had to stay inside a recoil class left it."""
 

@@ -69,10 +69,10 @@ def relation_loops(sys: CoxeterSystem, cls: RecoilClass) -> list[Loop]:
         return cached  # type: ignore[return-value]
     loops = [Loop(u, (s, s), "square") for u, _, s in cls.edges]
     pairs = [
-        (s, t, sys.order_product(s, t))
+        (s, t, sys.matrix[s][t])
         for s in range(sys.rank)
         for t in range(s + 1, sys.rank)
-        if sys.order_product(s, t) >= 2
+        if sys.matrix[s][t] >= 2
     ]
     for base in cls.members:
         for s, t, m in pairs:
@@ -85,15 +85,6 @@ def relation_loops(sys: CoxeterSystem, cls: RecoilClass) -> list[Loop]:
             loops.append(Loop(base, alternating(s, t, 2 * m), kind))
     sys._loop_cache[cls.subset] = loops
     return loops
-
-
-def braid_loop_exists_positional(sys: CoxeterSystem, w: int, i: int) -> bool:
-    """Type-A shortcut for the braid hexagon at one-line position i
-    (0-based): the three entries starting there must be pairwise at least 2
-    apart.  Agreement with the walk test is a tested invariant."""
-    p = sys.elements[w]
-    a, b, c = p[i], p[i + 1], p[i + 2]
-    return abs(a - b) >= 2 and abs(b - c) >= 2 and abs(a - c) >= 2
 
 
 def lift_path(instance: CoveringInstance, start: Vertex, word: tuple[int, ...]) -> list[Vertex]:
@@ -271,23 +262,3 @@ def component_isomorphisms(instance: CoveringInstance) -> bool:
             return False
         seen.add(key)
     return True
-
-
-def conjugate_action(instance: CoveringInstance, loop: Loop,
-                     path_word: tuple[int, ...]) -> FiberAction:
-    """The action of the loop transported to the endpoint of a path: lift
-    the path backwards, run the loop, lift the path forwards.  Used to test
-    base-point independence."""
-    sys = instance.system
-    end = loop.base
-    for s in path_word:
-        end = sys.right_cayley[end][s]
-    permutation: dict[int, int] = {}
-    for vid in instance.fibers[end]:
-        vertex = instance.vertices[vid]
-        back = lift_path(instance, vertex, tuple(reversed(path_word)))
-        looped = lift_path(instance, back[-1], loop.word)
-        forward = lift_path(instance, looped[-1], path_word)
-        permutation[vid] = instance.id_of(forward[-1])
-    moved = Loop(end, tuple(reversed(path_word)) + loop.word + path_word, loop.kind)
-    return FiberAction(moved, permutation, _permutation_order(permutation))

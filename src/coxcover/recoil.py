@@ -91,20 +91,6 @@ def beta_oneline(n: int, subset: int) -> tuple[int, ...]:
     return tuple(reversed(alpha_oneline(n, complement(subset, n - 1))))
 
 
-def class_extremes(sys: CoxeterSystem, subset: int) -> tuple[int, int]:
-    """Element indices of the weak-order minimum and maximum of a recoil
-    class.
-
-    Symmetric groups use the closed descending-runs form; other
-    realizations fall back to the class scan.
-    """
-    if sys.kind == "symmetric":
-        return (sys.index[alpha_oneline(sys.n, subset)],
-                sys.index[beta_oneline(sys.n, subset)])
-    cls = recoil_class(sys, subset)
-    return cls.alpha, cls.beta
-
-
 def same_class_edge_index(sys: CoxeterSystem, w: int, s: int) -> bool:
     """Does the Cayley edge w -- w*s stay inside w's recoil class?"""
     return sys.recoils[sys.right_cayley[w][s]] == sys.recoils[w]

@@ -1,5 +1,5 @@
-"""Disjoint-set forest over non-negative integer items (element indices or
-vertex ids), kept in a list indexed by item."""
+"""Disjoint-set forest over the non-negative integers below a size (element
+indices or vertex ids), kept in a list indexed by item."""
 
 from __future__ import annotations
 
@@ -10,9 +10,8 @@ class UnionFind:
     """Every root is the smallest item of its set: a union links the larger
     root under the smaller one."""
 
-    def __init__(self, items: Iterable[int] = ()):
-        self.items: list[int] = list(items)
-        self.parent: list[int] = list(range(max(self.items, default=-1) + 1))
+    def __init__(self, size: int):
+        self.parent: list[int] = list(range(size))
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -27,10 +26,6 @@ class UnionFind:
             self.parent[ry] = rx
         elif ry < rx:
             self.parent[rx] = ry
-
-    def component_count(self) -> int:
-        parent = self.parent
-        return sum(1 for x in self.items if parent[x] == x)
 
     def component_ids(self, order: Iterable[int]) -> list[int]:
         """Small int id of each item of `order`, in that order, ids assigned

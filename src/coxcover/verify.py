@@ -122,10 +122,10 @@ def _check_classes(sys: CoxeterSystem) -> CheckResult:
         cls = recoil_class(sys, subset)
         total += len(cls.members)
         res.checked += 1
-        uf = UnionFind(cls.members)
+        uf = UnionFind(cls.members[-1] + 1)
         for u, v, _ in cls.edges:
             uf.union(u, v)
-        if uf.component_count() != 1:
+        if max(uf.component_ids(cls.members)) != 0:
             res.fail(f"class {format_subset(subset)} is not connected")
         if not class_interval_matches(sys, cls):
             res.fail(f"class {format_subset(subset)} is not the weak-order interval "

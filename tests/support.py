@@ -1,11 +1,16 @@
 """Shared test utilities, including a from-scratch permutation oracle that
-never touches the library's tables."""
+never touches the library's tables, and reference code for theorems the
+tests check (cycle ranks of class graphs, the positional braid criterion,
+base-point independence of loop actions)."""
 
 from __future__ import annotations
 
 from itertools import permutations
+from typing import Iterable, Sequence
 
 from coxcover.gensets import from_one_based
+from coxcover.monodromy import FiberAction, Loop, _permutation_order, lift_path
+from coxcover.unionfind import UnionFind
 from coxcover.words import WordEngine
 
 
@@ -15,6 +20,11 @@ def subset(*one_based: int) -> int:
 
 def perm(text: str) -> tuple[int, ...]:
     return tuple(int(c) for c in text)
+
+
+def perm_index(sys, text: str) -> int:
+    """Element index of the permutation written `text` in one-line notation."""
+    return sys.elements.index(perm(text))
 
 
 def compose(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
@@ -80,3 +90,47 @@ def reference_words(matrix) -> tuple[list[tuple[int, ...]], list[list[int]]]:
                 right[idx][s] = u
             level.append(idx)
     return elements, right
+
+
+def cycle_rank(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> int:
+    """Edges minus vertices plus components of a finite simple graph; the
+    number of independent cycles (0 exactly for forests)."""
+    vertices = list(vertices)
+    uf = UnionFind(max(vertices, default=-1) + 1)
+    n_edges = 0
+    for e in edges:
+        uf.union(e[0], e[1])
+        n_edges += 1
+    return n_edges - len(vertices) + len(set(uf.component_ids(vertices)))
+
+
+def class_cycle_rank(cls) -> int:
+    return cycle_rank(cls.members, cls.edges)
+
+
+def braid_loop_exists_positional(sys, w: int, i: int) -> bool:
+    """Type-A shortcut for the braid hexagon at one-line position i
+    (0-based): the three entries starting there must be pairwise at least 2
+    apart.  Agreement with the walk test is a tested invariant."""
+    p = sys.elements[w]
+    a, b, c = p[i], p[i + 1], p[i + 2]
+    return abs(a - b) >= 2 and abs(b - c) >= 2 and abs(a - c) >= 2
+
+
+def conjugate_action(instance, loop: Loop, path_word: tuple[int, ...]) -> FiberAction:
+    """The action of the loop transported to the endpoint of a path: lift
+    the path backwards, run the loop, lift the path forwards.  Used to test
+    base-point independence."""
+    sys = instance.system
+    end = loop.base
+    for s in path_word:
+        end = sys.right_cayley[end][s]
+    permutation: dict[int, int] = {}
+    for vid in instance.fibers[end]:
+        vertex = instance.vertices[vid]
+        back = lift_path(instance, vertex, tuple(reversed(path_word)))
+        looped = lift_path(instance, back[-1], loop.word)
+        forward = lift_path(instance, looped[-1], path_word)
+        permutation[vid] = instance.id_of(forward[-1])
+    moved = Loop(end, tuple(reversed(path_word)) + loop.word + path_word, loop.kind)
+    return FiberAction(moved, permutation, _permutation_order(permutation))

@@ -32,7 +32,6 @@ from coxcover import (
     product_expand,
     recoil_class,
     relation_loops,
-    structure_constant,
     verify_covering,
     x_from_y,
     y_from_x,
@@ -40,7 +39,7 @@ from coxcover import (
 from coxcover.gensets import iter_subsets, one_based
 
 from .conftest import A3_MATRIX, B3_MATRIX
-from .support import perm, subset
+from .support import perm_index, subset
 
 
 @contextmanager
@@ -86,7 +85,7 @@ def test_criterion_03_s5_structure_constant():
         assert inst.fiber_size == 2
         assert inst.component_count == 1
         assert multiplicity_partition(inst) == (2,)
-        assert structure_constant(s5, subset(2, 3), subset(3, 4), subset(1, 3)) == 2
+        assert product_expand(s5, subset(2, 3), subset(3, 4)).coefficient(subset(1, 3)) == 2
 
 
 def test_criterion_04_dihedral_product():
@@ -160,7 +159,7 @@ def test_criterion_08_monodromy_orders():
                     report = monodromy_report(inst)
                     assert set(report.braid_orders) <= {1, 2}
         inst = build_fibered_graph(s5, subset(2, 3), subset(3, 4), subset(1, 3))
-        base = s5.index[perm("24153")]
+        base = perm_index(s5, "24153")
         action = loop_action(inst, Loop(base, (3, 2, 3, 2, 3, 2), "braid"))
         assert action.order == 2
 

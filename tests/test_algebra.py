@@ -8,12 +8,12 @@ import pytest
 from coxcover import (
     AlgebraElement,
     algebra_product,
+    build_fibered_graph,
     convolution_oracle,
     expansion_rows,
     full_table,
     product_expand,
     recoil_class,
-    structure_constant,
     x_from_y,
     y_from_x,
 )
@@ -27,13 +27,13 @@ def expansion(elem: AlgebraElement) -> dict[tuple[int, ...], int]:
 
 
 def test_structure_constant_fixtures(s4, s5):
-    assert structure_constant(s4, subset(1), subset(3), subset(1, 3)) == 1
-    assert structure_constant(s5, subset(2, 3), subset(3, 4), subset(1, 3)) == 2
+    assert build_fibered_graph(s4, subset(1), subset(3), subset(1, 3)).fiber_size == 1
+    assert build_fibered_graph(s5, subset(2, 3), subset(3, 4), subset(1, 3)).fiber_size == 2
     for mask in iter_subsets(s4.rank):
-        assert structure_constant(s4, 0, mask, mask) == 1
+        assert build_fibered_graph(s4, 0, mask, mask).fiber_size == 1
         other = mask ^ 0b111
         if other != mask:
-            assert structure_constant(s4, 0, mask, other) == 0
+            assert build_fibered_graph(s4, 0, mask, other).fiber_size == 0
 
 
 @pytest.mark.parametrize("left, right", [

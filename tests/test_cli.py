@@ -284,3 +284,20 @@ def test_module_entry_point():
     data = json.loads(proc.stdout)
     assert {tuple(r["K"]): r["a"] for r in data["rows"]} == {
         (): 1, (2,): 1, (1, 2): 1}
+
+
+def test_reader_closing_stdout_early_is_quiet():
+    # the S5 text table is 84 KB, more than a 64 KiB pipe holds, so the
+    # program is still writing when the reader goes away, as with `| head -1`
+    proc = subprocess.Popen(
+        [_sys.executable, "-m", "coxcover", "table", "--group", "S5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
+    try:
+        assert proc.stdout.readline() == b"Y_{} * Y_{} = Y_{}\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.wait()
+    assert "Traceback" not in err and "Exception" not in err

@@ -5,9 +5,7 @@ import pytest
 from coxcover import (
     NotAClassEdge,
     build_fibered_graph,
-    class_cycle_rank,
     covering_dot,
-    cycle_rank,
     iter_fibered_graphs,
     multiplicity_partition,
     recoil_class,
@@ -18,7 +16,9 @@ from coxcover.gensets import iter_subsets
 from coxcover.recoil import conjugated_generator, same_class_edge_index
 from coxcover.unionfind import UnionFind
 
-from .support import compose, oracle_class, oracle_class_edges, perm, subset
+from .support import (
+    class_cycle_rank, compose, cycle_rank, oracle_class, oracle_class_edges, perm,
+    perm_index, subset)
 
 
 def test_s4_instance_1_3_13(s4):
@@ -136,23 +136,23 @@ def test_left_moves_with_nonsimple_conjugate_are_not_edges(s5):
     # the product pair 42153 / 42351 differs by a length-3 conjugate; the
     # corresponding left move must be absent even though both are vertices
     inst = build_fibered_graph(s5, subset(2, 3), subset(3, 4), subset(1, 3))
-    pi = s5.index[perm("41352")]
-    pi2 = s5.index[perm("43152")]
-    rho = s5.index[perm("15243")]
+    pi = perm_index(s5, "41352")
+    pi2 = perm_index(s5, "43152")
+    rho = perm_index(s5, "15243")
     u = inst.id_of((pi, rho))
     v = inst.id_of((pi2, rho))
     assert all(nbr != v for nbr, _, _ in inst.adjacency[u])
 
 
 def test_unique_lift_left_case(s4):
-    vertex = (s4.index[perm("2314")], s4.index[perm("1243")])
+    vertex = (perm_index(s4, "2314"), perm_index(s4, "1243"))
     lifted, side, gen = unique_lift_edge(s4, vertex, 2, s4.multiply_index(*vertex))
     assert side == "left" and gen == 2
     assert tuple(s4.elements[i] for i in lifted) == (perm("2341"), perm("1243"))
 
 
 def test_unique_lift_right_case(s4):
-    vertex = (s4.index[perm("2341")], s4.index[perm("1243")])
+    vertex = (perm_index(s4, "2341"), perm_index(s4, "1243"))
     lifted, side, gen = unique_lift_edge(s4, vertex, 1, s4.multiply_index(*vertex))
     assert side == "right" and gen == 1
     assert tuple(s4.elements[i] for i in lifted) == (perm("2341"), perm("1423"))
@@ -170,10 +170,10 @@ def test_unique_lift_dihedral(i6):
 
 def test_unique_lift_requires_class_edge(s4):
     # both these steps leave the product's recoil class
-    v1 = (s4.index[perm("2314")], s4.index[perm("1243")])
+    v1 = (perm_index(s4, "2314"), perm_index(s4, "1243"))
     with pytest.raises(NotAClassEdge):
         unique_lift_edge(s4, v1, 1, s4.multiply_index(*v1))
-    v2 = (s4.index[perm("2134")], s4.index[perm("1243")])
+    v2 = (perm_index(s4, "2134"), perm_index(s4, "1243"))
     with pytest.raises(NotAClassEdge):
         unique_lift_edge(s4, v2, 2, s4.multiply_index(*v2))
 
@@ -237,15 +237,13 @@ def test_cycle_rank():
 
 
 def test_union_find_roots_are_smallest_members():
-    # sparse items, as class members are: the list spans 0..max, but only
-    # the items count as components
-    uf = UnionFind([9, 4, 7, 2, 5])
+    # sparse items, as class members are: ids go to the items asked for only
+    uf = UnionFind(10)
     for x, y in ((4, 9), (7, 9), (5, 2)):
         uf.union(x, y)
     assert [uf.find(x) for x in (9, 4, 7, 2, 5)] == [4, 4, 4, 2, 2]
-    assert uf.component_count() == 2
     assert uf.component_ids([2, 4, 5, 7, 9]) == [0, 1, 0, 1, 1]
-    assert UnionFind().component_count() == 0
+    assert UnionFind(0).component_ids([]) == []
 
 
 def test_cycle_rank_of_classes(s4, s5):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
 from itertools import permutations
 from pathlib import Path
 
@@ -12,7 +13,6 @@ from coxcover import (
     CoxeterSpec,
     InvalidSpec,
     InvariantViolation,
-    NotADescent,
     build_system,
     coxeter,
     positional_recoils,
@@ -21,7 +21,8 @@ from coxcover.gensets import one_based
 from coxcover.words import WordEngine
 
 from .conftest import A3_MATRIX, B3_MATRIX, H3_MATRIX
-from .support import compose, oracle_inversions, oracle_recoils, perm, reference_words
+from .support import (
+    compose, oracle_inversions, oracle_recoils, perm, perm_index, reference_words)
 
 A2_AFFINE_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "groups" / "A2_affine.json"
 
@@ -119,6 +120,27 @@ def test_element_cap():
         build_system(CoxeterSpec.dihedral(6, element_cap=5))
     # the cap is a bound, not a budget: exactly |W| is fine
     assert len(build_system(CoxeterSpec.symmetric(4, element_cap=24))) == 24
+
+
+def test_cap_refusal_stops_at_the_cap():
+    # 32 commuting generators: 529 elements up to length 2, then 4960 of
+    # length 3; a refusal at cap 600 must not build that whole level first
+    rank = 32
+    matrix = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
+    spec = CoxeterSpec.from_matrix(matrix, element_cap=600)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="more than 600 elements"):
+            build_system(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+    # the condition is unchanged: exactly |W| = 2^rank still builds
+    cube = [row[:10] for row in matrix[:10]]
+    assert len(build_system(CoxeterSpec.from_matrix(cube, element_cap=1024))) == 1024
+    with pytest.raises(CapExceeded):
+        build_system(CoxeterSpec.from_matrix(cube, element_cap=1023))
 
 
 def test_infinite_matrix_entry_hits_cap():
@@ -224,11 +246,11 @@ def test_rank_one():
 
 
 def test_multiply_fixtures(s4):
-    u = s4.index[perm("2134")]
-    v = s4.index[perm("1243")]
+    u = perm_index(s4, "2134")
+    v = perm_index(s4, "1243")
     assert s4.elements[s4.multiply_index(u, v)] == perm("2143")
-    u = s4.index[perm("2314")]
-    v = s4.index[perm("1423")]
+    u = perm_index(s4, "2314")
+    v = perm_index(s4, "1423")
     assert s4.elements[s4.multiply_index(u, v)] == perm("2431")
 
 
@@ -257,7 +279,7 @@ def test_multiply_identity(s3):
 
 
 def test_inverse_fixtures(s4):
-    assert s4.elements[s4.inverse_index[s4.index[perm("2314")]]] == perm("3124")
+    assert s4.elements[s4.inverse_index[perm_index(s4, "2314")]] == perm("3124")
     assert s4.inverse_index[0] == 0
 
 
@@ -269,18 +291,18 @@ def test_longest_is_an_involution(s4, i6, b3):
 
 
 def test_length_fixtures(s4):
-    assert s4.lengths[s4.index[perm("2314")]] == 2
+    assert s4.lengths[perm_index(s4, "2314")] == 2
     assert s4.lengths[0] == 0
     assert s4.lengths[s4.longest_index] == 6
 
 
 def test_length_equals_inversions(s5):
-    for p in s5.elements:
-        assert s5.lengths[s5.index[p]] == oracle_inversions(p)
+    for i, p in enumerate(s5.elements):
+        assert s5.lengths[i] == oracle_inversions(p)
 
 
 def test_recoil_set_fixtures(s4, i6, b3):
-    assert one_based(s4.recoils[s4.index[perm("2341")]]) == (1,)
+    assert one_based(s4.recoils[perm_index(s4, "2341")]) == (1,)
     assert s4.recoils[0] == 0
     for sys_ in (s4, i6, b3):
         assert sys_.recoils[sys_.longest_index] == (1 << sys_.rank) - 1
@@ -294,9 +316,9 @@ def test_recoil_class_fixture_y1(s4):
 
 
 def test_descent_set_fixtures(s3, s4):
-    assert one_based(s3.descents[s3.index[perm("132")]]) == (2,)
+    assert one_based(s3.descents[perm_index(s3, "132")]) == (2,)
     assert s3.descents[0] == 0
-    assert one_based(s4.descents[s4.index[perm("2413")]]) == (2,)
+    assert one_based(s4.descents[perm_index(s4, "2413")]) == (2,)
 
 
 def test_recoil_is_descent_of_inverse(s4, s5, i6, b3):
@@ -334,29 +356,7 @@ def test_weak_leq(s4):
     for w in range(len(s4)):
         assert s4.weak_leq_index(0, w)
         assert s4.weak_leq_index(w0, w) == (w == w0)
-    assert s4.weak_leq_index(s4.index[perm("2134")], s4.index[perm("2341")])
-
-
-def test_apply_exchange(s3, i6):
-    assert s3.apply_exchange((0, 1, 0), 0) == (1, 0)
-    assert s3.apply_exchange((0,), 0) == ()
-    assert i6.apply_exchange((0, 1, 0, 1, 0, 1), 0) == (1, 0, 1, 0, 1)
-    with pytest.raises(NotADescent):
-        s3.apply_exchange((0,), 1)
-    with pytest.raises(ValueError, match="reduced"):
-        s3.apply_exchange((0, 0), 0)
-
-
-def test_apply_exchange_everywhere(s4):
-    # deleting the chosen letter must always produce a word for s*w
-    for i in range(len(s4)):
-        word = s4.words[i]
-        for s in range(s4.rank):
-            if not (s4.recoils[i] >> s) & 1:
-                continue
-            shorter = s4.apply_exchange(word, s)
-            assert len(shorter) == len(word) - 1
-            assert s4.word_index(shorter) == s4.left_cayley[i][s]
+    assert s4.weak_leq_index(perm_index(s4, "2134"), perm_index(s4, "2341"))
 
 
 def test_reduced_word_is_lex_least_and_reduced(s4, b3):

@@ -6,10 +6,8 @@ import pytest
 
 from coxcover import (
     Loop,
-    braid_loop_exists_positional,
     build_fibered_graph,
     component_isomorphisms,
-    conjugate_action,
     iter_fibered_graphs,
     lift_path,
     loop_action,
@@ -21,7 +19,8 @@ from coxcover import (
 from coxcover.errors import NotAClassEdge
 from coxcover.gensets import iter_subsets
 
-from .support import perm, subset
+from .support import (
+    braid_loop_exists_positional, conjugate_action, perm, perm_index, subset)
 
 FLAGSHIP = (subset(2, 3), subset(3, 4), subset(1, 3))
 
@@ -145,7 +144,7 @@ def test_lift_path_two_steps_matches_multiplied_lifts(group, request):
 
 def test_reference_braid_loop_swaps_fiber(s5):
     inst = build_fibered_graph(s5, *FLAGSHIP)
-    base = s5.index[perm("24153")]
+    base = perm_index(s5, "24153")
     loop = Loop(base, (3, 2, 3, 2, 3, 2), "braid")
     fiber = inst.fibers[base]
     assert len(fiber) == 2
@@ -208,7 +207,7 @@ def test_monodromy_report_empty_instance(s4):
 
 def test_base_point_independence(s5):
     inst = build_fibered_graph(s5, *FLAGSHIP)
-    base = s5.index[perm("24153")]
+    base = perm_index(s5, "24153")
     loop = Loop(base, (3, 2, 3, 2, 3, 2), "braid")
     direct = loop_action(inst, loop)
     # transport along the class edge 24153 -- 24135 (generator 4)

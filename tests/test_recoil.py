@@ -5,8 +5,6 @@ from coxcover import (
     alpha_oneline,
     beta_oneline,
     build_system,
-    class_extremes,
-    class_graph_dot,
     conjugated_generator,
     recoil_class,
 )
@@ -20,7 +18,7 @@ from coxcover.recoil import (
 from coxcover.unionfind import UnionFind
 
 from .conftest import B3_MATRIX, H3_MATRIX
-from .support import oracle_class, oracle_class_edges, perm, subset
+from .support import oracle_class, oracle_class_edges, perm, perm_index, subset
 
 
 def test_class_y3_is_a_path(s4):
@@ -64,10 +62,10 @@ def test_partition_and_connectivity(s4, s5, i6, b3):
         for mask in iter_subsets(sys_.rank):
             cls = recoil_class(sys_, mask)
             total += len(cls.members)
-            uf = UnionFind(cls.members)
+            uf = UnionFind(len(sys_))
             for u, v, _ in cls.edges:
                 uf.union(u, v)
-            assert uf.component_count() == 1
+            assert set(uf.component_ids(cls.members)) == {0}
         assert total == len(sys_)
 
 
@@ -87,9 +85,6 @@ def test_extremes_formula_matches_scan(s4, s5):
     for sys_ in (s4, s5):
         for mask in iter_subsets(sys_.rank):
             cls = recoil_class(sys_, mask)
-            lo, hi = class_extremes(sys_, mask)
-            assert lo == cls.alpha
-            assert hi == cls.beta
             assert sys_.elements[cls.alpha] == alpha_oneline(sys_.n, mask)
             assert sys_.elements[cls.beta] == beta_oneline(sys_.n, mask)
 
@@ -98,27 +93,26 @@ def test_extremes_generic_realization(i6, b3):
     for sys_ in (i6, b3):
         for mask in iter_subsets(sys_.rank):
             cls = recoil_class(sys_, mask)
-            lo, hi = class_extremes(sys_, mask)
-            assert (lo, hi) == (cls.alpha, cls.beta)
+            lo, hi = cls.alpha, cls.beta
             assert sys_.lengths[lo] == min(sys_.lengths[m] for m in cls.members)
             assert sys_.lengths[hi] == max(sys_.lengths[m] for m in cls.members)
 
 
 def test_extremes_empty_subset(s4):
-    lo, hi = class_extremes(s4, 0)
-    assert lo == hi == 0
+    cls = recoil_class(s4, 0)
+    assert cls.alpha == cls.beta == 0
 
 
 def test_beta_is_alpha_of_complement_times_longest(s5):
     w0 = s5.longest_index
     for mask in iter_subsets(s5.rank):
-        alt = s5.index[alpha_oneline(5, complement(mask, s5.rank))]
+        alt = s5.elements.index(alpha_oneline(5, complement(mask, s5.rank)))
         assert s5.elements[s5.multiply_index(alt, w0)] == beta_oneline(5, mask)
 
 
 def test_same_class_edge_fixtures(s4):
-    assert same_class_edge_index(s4, s4.index[perm("2143")], 1)
-    assert same_class_edge_index(s4, s4.index[perm("1243")], 1)
+    assert same_class_edge_index(s4, perm_index(s4, "2143"), 1)
+    assert same_class_edge_index(s4, perm_index(s4, "1243"), 1)
     for s in range(s4.rank):
         assert not same_class_edge_index(s4, 0, s)
 
@@ -164,11 +158,3 @@ def test_recoil_growth_dichotomy(s4, i6, b3):
                 else:
                     assert sys_.recoils[ws] == sys_.recoils[w] | (1 << conj)
                     assert sys_.recoils[ws] != sys_.recoils[w]
-
-
-def test_class_dot_export(s4):
-    cls = recoil_class(s4, subset(3))
-    dot = class_graph_dot(s4, cls)
-    assert dot == class_graph_dot(s4, cls)
-    assert '"1243" -- "1423" [label="2"];' in dot
-    assert dot.count("--") == 2
