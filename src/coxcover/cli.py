@@ -52,7 +52,9 @@ def parse_group(text: str, cap: int | None) -> CoxeterSpec:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and over-long integer
+        # literals; RecursionError covers too deep nesting
+        except (OSError, ValueError, RecursionError) as exc:
             raise UsageError(f"cannot read matrix file {path}: {exc}") from None
         if not isinstance(data, dict):
             raise UsageError(f"matrix file {path} must hold a JSON object")

@@ -14,7 +14,8 @@ edge.
 product filtered on K.  `iter_fibered_graphs` builds every non-empty
 instance of (I, J) from a single scan, bucketed by the recoil set of each
 product; both hand their vertices to the same wiring step, so an instance
-is identical whichever way it was built.
+is identical whichever way it was built.  That step labels the components
+by a search over the instance's adjacency lists.
 
 The projection sends (pi, rho) to pi*rho.  Everything this package computes
 downstream rests on that projection being a graph covering of the target
@@ -32,7 +33,6 @@ from .coxeter import CoxeterSystem
 from .errors import FiberInconstant, InvariantViolation, NotAClassEdge
 from .gensets import format_subset, one_based
 from .recoil import RecoilClass, recoil_class, simple_conjugate
-from .unionfind import UnionFind
 
 Vertex = tuple[int, int]  # (element index in left class, element index in right class)
 
@@ -92,9 +92,9 @@ def build_fibered_graph(sys: CoxeterSystem, left: int, right: int,
 
     An empty instance (structure constant 0) is valid data, not an error.
     """
-    _check_masks(sys, left, right, target)
     cls_l = recoil_class(sys, left)
     cls_r = recoil_class(sys, right)
+    recoil_class(sys, target)  # refuses a target outside the rank before the scan
 
     vertices: list[Vertex] = []
     projection: list[int] = []
@@ -117,7 +117,6 @@ def iter_fibered_graphs(sys: CoxeterSystem, left: int,
     would find for target K, in the same order.  Instances are wired one at
     a time as they are requested, so a consumer holds only what it keeps.
     """
-    _check_masks(sys, left, right)
     cls_l = recoil_class(sys, left)
     cls_r = recoil_class(sys, right)
 
@@ -136,12 +135,6 @@ def iter_fibered_graphs(sys: CoxeterSystem, left: int,
     for target in sorted(buckets):
         vertices, projection = buckets.pop(target)
         yield target, _wire(sys, left, right, target, vertices, projection)
-
-
-def _check_masks(sys: CoxeterSystem, *masks: int) -> None:
-    for mask in masks:
-        if mask >> sys.rank:
-            raise ValueError(f"subset {format_subset(mask)} outside rank {sys.rank}")
 
 
 def _wire(sys: CoxeterSystem, left: int, right: int, target: int,
@@ -194,11 +187,21 @@ def _wire(sys: CoxeterSystem, left: int, right: int, target: int,
         )
     fiber_size = sizes.pop() if sizes else 0
 
-    uf = UnionFind(len(vertices))
-    for u, v, _, _ in edges:
-        uf.union(u, v)
-    component = uf.component_ids(range(len(vertices)))
-    n_comp = max(component, default=-1) + 1
+    # searches start from ascending unlabelled vertices, so a component's
+    # id follows its smallest vertex
+    component = [-1] * len(vertices)
+    n_comp = 0
+    for root in range(len(vertices)):
+        if component[root] != -1:
+            continue
+        component[root] = n_comp
+        stack = [root]
+        while stack:
+            for v, _, _ in adjacency[stack.pop()]:
+                if component[v] == -1:
+                    component[v] = n_comp
+                    stack.append(v)
+        n_comp += 1
     degrees = _component_degrees(component, n_comp, fibers, cls_t,
                                  left, right, target)
 

@@ -405,15 +405,17 @@ def _root_action(spec: CoxeterSpec, largest: int) -> list[list[int]]:
     return perms
 
 
-def _product_order(p: list[int], q: list[int]) -> int:
-    """Order of the permutation i -> p[q[i]]."""
-    seen = [False] * len(p)
+def _permutation_order(permutation: dict[int, int]) -> int:
+    """Order of the permutation x -> permutation[x]: the lcm of its cycle
+    lengths."""
     order = 1
-    for start in range(len(p)):
-        i, size = start, 0
-        while not seen[i]:
-            seen[i] = True
-            i = p[q[i]]
+    seen: set[int] = set()
+    for start in permutation:
+        size = 0
+        x = start
+        while x not in seen:
+            seen.add(x)
+            x = permutation[x]
             size += 1
         if size:
             order = math.lcm(order, size)
@@ -428,7 +430,7 @@ def _check_root_action(matrix: tuple[tuple[int, ...], ...], perms: list[list[int
             raise InvariantViolation(
                 f"root identification failed: generator {s + 1} does not act as an involution")
         for t in range(s + 1, len(perms)):
-            order = _product_order(p, perms[t])
+            order = _permutation_order({i: p[j] for i, j in enumerate(perms[t])})
             if order != matrix[s][t]:
                 raise InvariantViolation(
                     f"root identification failed: generators {s + 1} and {t + 1} "

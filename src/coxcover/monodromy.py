@@ -15,9 +15,8 @@ asserting a bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
-from .coxeter import CoxeterSystem
+from .coxeter import CoxeterSystem, _permutation_order
 from .covering import CoveringInstance, Vertex, multiplicity_partition, unique_lift_edge
 from .errors import InvariantViolation, OrderViolation
 from .gensets import one_based
@@ -124,22 +123,6 @@ def loop_action(instance: CoveringInstance, loop: Loop) -> FiberAction:
     if sorted(permutation.values()) != sorted(permutation):
         raise InvariantViolation("loop action is not a bijection of the fiber")
     return FiberAction(loop, permutation, _permutation_order(permutation))
-
-
-def _permutation_order(permutation: dict[int, int]) -> int:
-    order = 1
-    seen: set[int] = set()
-    for start in permutation:
-        if start in seen:
-            continue
-        size = 0
-        x = start
-        while x not in seen:
-            seen.add(x)
-            x = permutation[x]
-            size += 1
-        order = lcm(order, size)
-    return order
 
 
 @dataclass

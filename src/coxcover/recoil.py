@@ -54,8 +54,6 @@ def recoil_class(sys: CoxeterSystem, subset: int) -> RecoilClass:
     for u, v, s in edges:
         adjacency[u].append((v, s))
         adjacency[v].append((u, s))
-    for u in members:
-        adjacency[u].sort()
     # element indices ascend with (length, form), so the unique shortest and
     # longest members sit at the ends; uniqueness is part of the theorem
     if len(members) > 1:

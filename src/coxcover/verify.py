@@ -40,7 +40,6 @@ from .recoil import (
     recoil_class,
     same_class_edge_index,
 )
-from .unionfind import UnionFind
 
 
 FiberSizes = dict[tuple[int, int], dict[int, int]]  # (I, J) -> {K: structure constant}
@@ -122,10 +121,14 @@ def _check_classes(sys: CoxeterSystem) -> CheckResult:
         cls = recoil_class(sys, subset)
         total += len(cls.members)
         res.checked += 1
-        uf = UnionFind(cls.members[-1] + 1)
-        for u, v, _ in cls.edges:
-            uf.union(u, v)
-        if max(uf.component_ids(cls.members)) != 0:
+        reached = {cls.alpha}
+        stack = [cls.alpha]
+        while stack:
+            for v, _ in cls.adjacency[stack.pop()]:
+                if v not in reached:
+                    reached.add(v)
+                    stack.append(v)
+        if len(reached) != len(cls.members):
             res.fail(f"class {format_subset(subset)} is not connected")
         if not class_interval_matches(sys, cls):
             res.fail(f"class {format_subset(subset)} is not the weak-order interval "

@@ -1,16 +1,16 @@
 """Shared test utilities, including a from-scratch permutation oracle that
 never touches the library's tables, and reference code for theorems the
-tests check (cycle ranks of class graphs, the positional braid criterion,
-base-point independence of loop actions)."""
+tests check (a union-find for components, cycle ranks of class graphs, the
+positional braid criterion, base-point independence of loop actions)."""
 
 from __future__ import annotations
 
 from itertools import permutations
 from typing import Iterable, Sequence
 
+from coxcover.coxeter import _permutation_order
 from coxcover.gensets import from_one_based
-from coxcover.monodromy import FiberAction, Loop, _permutation_order, lift_path
-from coxcover.unionfind import UnionFind
+from coxcover.monodromy import FiberAction, Loop, lift_path
 from coxcover.words import WordEngine
 
 
@@ -90,6 +90,43 @@ def reference_words(matrix) -> tuple[list[tuple[int, ...]], list[list[int]]]:
                 right[idx][s] = u
             level.append(idx)
     return elements, right
+
+
+class UnionFind:
+    """Disjoint-set forest over the non-negative integers below a size,
+    kept in a list indexed by item.  Every root is the smallest item of its
+    set: a union links the larger root under the smaller one.  A reference
+    for the library's component searches, sharing no code with them."""
+
+    def __init__(self, size: int):
+        self.parent: list[int] = list(range(size))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:  # path halving
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x: int, y: int) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx < ry:
+            self.parent[ry] = rx
+        elif ry < rx:
+            self.parent[rx] = ry
+
+    def component_ids(self, order: Iterable[int]) -> list[int]:
+        """Small int id of each item of `order`, in that order, ids assigned
+        by first appearance; over ascending items a component's id follows
+        its smallest member."""
+        ids: dict[int, int] = {}
+        out = []
+        for x in order:
+            root = self.find(x)
+            if root not in ids:
+                ids[root] = len(ids)
+            out.append(ids[root])
+        return out
 
 
 def cycle_rank(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> int:

@@ -1,17 +1,26 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys as _sys
 import time
 
 import pytest
 
+import coxcover
 from coxcover import verify
 from coxcover.cli import main
 from coxcover.errors import InvariantViolation
 
 B3_JSON = {"rank": 3, "m": [[1, 4, 2], [4, 1, 3], [2, 3, 1]], "element_cap": 200000}
+
+
+# `python -m coxcover` in a child process imports the package these tests
+# import, also when only pytest's `pythonpath` setting put it on the path
+MODULE_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(coxcover.__file__)),
+                  os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -242,11 +251,22 @@ MALFORMED_MATRIX_FILES = [
 ]
 
 
-@pytest.mark.parametrize("label, content", MALFORMED_MATRIX_FILES,
-                         ids=[label for label, _ in MALFORMED_MATRIX_FILES])
+# files `json.load` cannot decode at all, written as raw bytes
+UNDECODABLE_MATRIX_FILES = [
+    ("not utf-8", b"\xff\xfe"),
+    ("huge integer", b'{"m": [[1, ' + b"9" * 5000 + b"]]}"),
+    ("deep nesting", b'{"m": ' + b"[" * 100_000),
+]
+
+
+@pytest.mark.parametrize(
+    "label, content",
+    [(label, json.dumps(content).encode()) for label, content in MALFORMED_MATRIX_FILES]
+    + UNDECODABLE_MATRIX_FILES,
+    ids=[label for label, _ in MALFORMED_MATRIX_FILES + UNDECODABLE_MATRIX_FILES])
 def test_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, label, content):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(content))
+    path.write_bytes(content)
     code = main(["verify", "--group", f"matrix:{path}"])
     captured = capsys.readouterr()
     assert code == 2, label
@@ -279,7 +299,7 @@ def test_module_entry_point():
     proc = subprocess.run(
         [_sys.executable, "-m", "coxcover", "table", "--group", "S3",
          "--left", "1", "--right", "1", "--format", "json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=MODULE_ENV)
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert {tuple(r["K"]): r["a"] for r in data["rows"]} == {
@@ -291,7 +311,7 @@ def test_reader_closing_stdout_early_is_quiet():
     # program is still writing when the reader goes away, as with `| head -1`
     proc = subprocess.Popen(
         [_sys.executable, "-m", "coxcover", "table", "--group", "S5"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=MODULE_ENV)
     try:
         assert proc.stdout.readline() == b"Y_{} * Y_{} = Y_{}\n"
         proc.stdout.close()

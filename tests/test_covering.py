@@ -14,11 +14,10 @@ from coxcover import (
 )
 from coxcover.gensets import iter_subsets
 from coxcover.recoil import conjugated_generator, same_class_edge_index
-from coxcover.unionfind import UnionFind
 
 from .support import (
-    class_cycle_rank, compose, cycle_rank, oracle_class, oracle_class_edges, perm,
-    perm_index, subset)
+    UnionFind, class_cycle_rank, compose, cycle_rank, oracle_class, oracle_class_edges,
+    perm, perm_index, subset)
 
 
 def test_s4_instance_1_3_13(s4):
@@ -113,9 +112,18 @@ def test_one_pass_instances_match_single_target_builds(group, request):
                         f"{name} differs for ({left}, {right}, {target})")
 
 
-def test_one_pass_rejects_subsets_outside_rank(s4):
+def test_one_pass_rejects_subsets_outside_rank(s4, monkeypatch):
     with pytest.raises(ValueError):
         next(iter_fibered_graphs(s4, 1 << s4.rank, 0))
+
+    def no_products(p, r):
+        raise AssertionError("a product was computed")
+
+    # every out-of-range subset, the target too, is refused before the scan
+    monkeypatch.setattr(s4, "multiply_index", no_products)
+    for masks in ((1 << s4.rank, 0, 0), (0, 1 << s4.rank, 0), (0, 0, 1 << s4.rank)):
+        with pytest.raises(ValueError):
+            build_fibered_graph(s4, *masks)
 
 
 def test_edges_move_one_coordinate_and_project_to_edges(s5):
@@ -234,6 +242,22 @@ def test_cycle_rank():
     assert cycle_rank([1, 2, 3], [(1, 2), (2, 3)]) == 0
     assert cycle_rank([1, 2, 3], [(1, 2), (2, 3), (1, 3)]) == 1
     assert cycle_rank([1, 2, 3, 4], [(1, 2), (3, 4)]) == 0
+
+
+def test_components_match_union_find(s4, i6, b3, h3):
+    for sys_ in (s4, i6, b3, h3):
+        for left in iter_subsets(sys_.rank):
+            for right in iter_subsets(sys_.rank):
+                for _, inst in iter_fibered_graphs(sys_, left, right):
+                    uf = UnionFind(len(inst.vertices))
+                    for u, v, _, _ in inst.edges:
+                        uf.union(u, v)
+                    component = uf.component_ids(range(len(inst.vertices)))
+                    assert inst.component == component
+                    degrees = [0] * (max(component) + 1)
+                    for vid in inst.fibers[inst.target_class.members[0]]:
+                        degrees[component[vid]] += 1
+                    assert inst.degrees == degrees
 
 
 def test_union_find_roots_are_smallest_members():

@@ -15,10 +15,10 @@ from coxcover.recoil import (
     same_class_edge_index,
     simple_conjugate,
 )
-from coxcover.unionfind import UnionFind
 
 from .conftest import B3_MATRIX, H3_MATRIX
-from .support import oracle_class, oracle_class_edges, perm, perm_index, subset
+from .support import (
+    UnionFind, oracle_class, oracle_class_edges, perm, perm_index, subset)
 
 
 def test_class_y3_is_a_path(s4):
@@ -66,6 +66,7 @@ def test_partition_and_connectivity(s4, s5, i6, b3):
             for u, v, _ in cls.edges:
                 uf.union(u, v)
             assert set(uf.component_ids(cls.members)) == {0}
+            assert all(cls.adjacency[m] == sorted(cls.adjacency[m]) for m in cls.members)
         assert total == len(sys_)
 
 
