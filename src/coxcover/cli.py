@@ -137,6 +137,10 @@ def cmd_cover(args) -> int:
             raise UsageError(f"cannot write DOT file {args.dot}: {exc.strerror}") from None
     if args.format == "json":
         print(json.dumps(inst.to_json()))
+        if report.status == "failed":
+            print(f"invariant failure: covering axioms failed: {report.violations[0]}",
+                  file=_sys.stderr)
+            return EXIT_INVARIANT
         return EXIT_OK
     parts = list(multiplicity_partition(inst))
     print(f"Z(I={format_subset(left)} J={format_subset(right)} K={format_subset(target)}) "

@@ -20,8 +20,15 @@ by a search over the instance's adjacency lists.
 The projection sends (pi, rho) to pi*rho.  Everything this package computes
 downstream rests on that projection being a graph covering of the target
 class; `verify_covering` checks the covering axioms directly instead of
-assuming them, and the per-fiber counts give the structure constants of the
-descent algebra.
+assuming them, edge preservation and unique lifting together as one
+local-bijection test per vertex (its neighbours must project one-to-one
+onto the class neighbours of its image).  The per-fiber counts give the
+structure constants of the descent algebra.
+
+`unique_lift_edge` decides how one in-class step of the product lifts.
+`CoveringInstance.lift_table` asks it once for every in-class step of an
+instance and keeps the answers as vertex ids, which the monodromy code
+reads instead of lifting a step again for every loop through it.
 """
 
 from __future__ import annotations
@@ -55,6 +62,10 @@ class CoveringInstance:
     component: list[int]                      # vertex id -> component id
     degrees: list[int]                        # component id -> covering degree
     fiber_size: int                           # the structure constant
+    # generator -> vertex id -> id of the lift of that step, or -1 when the
+    # step leaves the target class; filled by `lift_table` on first use
+    lifts: list[list[int]] | None = field(default=None, init=False,
+                                           compare=False, repr=False)
 
     @property
     def is_empty(self) -> bool:
@@ -72,6 +83,33 @@ class CoveringInstance:
         if vid is None or self.vertices[vid] != vertex:
             raise KeyError(vertex)
         return vid
+
+    def lift_table(self) -> list[list[int]]:
+        """`lifts[s][u]`: the id of the vertex that lifts the step
+        pi(u) -> pi(u)*s from vertex u, or -1 when pi(u)*s leaves the target
+        class.  Each in-class step is lifted once, by `unique_lift_edge`,
+        and the table is kept on the instance."""
+        if self.lifts is None:
+            sys = self.system
+            right, recoils, order = sys.right_cayley, sys.recoils, len(sys.elements)
+            get, target = self.id_by_key.get, self.target
+            lifts = [[-1] * len(self.vertices) for _ in range(sys.rank)]
+            for u, vertex in enumerate(self.vertices):
+                sigma = self.projection[u]
+                steps = right[sigma]
+                for s, row in enumerate(lifts):
+                    # every product lies in the target class
+                    if recoils[steps[s]] == target:
+                        (p, r), _, _ = unique_lift_edge(sys, vertex, s, sigma)
+                        # both coordinates come from the Cayley tables, so
+                        # the key cannot alias another vertex's
+                        v = get(p * order + r)
+                        if v is None:
+                            raise InvariantViolation(
+                                f"the lift of step s{s + 1} at {vertex} is no vertex")
+                        row[u] = v
+            self.lifts = lifts
+        return self.lifts
 
     def to_json(self) -> dict:
         return {
@@ -262,6 +300,14 @@ def verify_covering(instance: CoveringInstance) -> CoveringReport:
     """Check the three covering axioms of the projection, reporting any
     violation with a witness.
 
+    Surjectivity is read off the fibers.  Edge preservation and unique
+    lifting are checked together, as one local-bijection test per vertex
+    u: the projections of u's neighbours, counted with multiplicity, must
+    be the class neighbours of pi(u), each taken once.  Only a vertex that
+    fails the test is examined again, for its witnesses: a neighbour over a
+    non-neighbour of pi(u) breaks edge preservation, and a class neighbour
+    hit n != 1 times gives "n lifts of edge ...".
+
     An empty instance gets the explicit "empty" status: the projection onto
     the target class is then vacuously non-surjective, which is recorded as
     a fact about the instance rather than a failed axiom.
@@ -281,32 +327,33 @@ def verify_covering(instance: CoveringInstance) -> CoveringReport:
     if missed:
         violations.append(f"no vertex projects onto {sys.format_index(missed[0])}")
 
-    cls_t = instance.target_class
-    projection, adjacency = instance.projection, instance.adjacency
-    edges_preserved = True
-    for u, v, side, s in instance.edges:
-        pu, pv = projection[u], projection[v]
-        if pu == pv or all(nbr != pv for nbr, _ in cls_t.adjacency[pu]):
-            edges_preserved = False
-            violations.append(
-                f"edge {instance.vertices[u]} -- {instance.vertices[v]} projects to "
-                f"non-edge {sys.format_index(pu)} -- {sys.format_index(pv)}"
-            )
-            break
-
-    unique_lifting = True
-    for w, z, _ in cls_t.edges:
-        for a, b in ((w, z), (z, w)):
-            for u in instance.fibers[a]:
-                hits = [v for v, _, _ in adjacency[u] if projection[v] == b]
-                if len(hits) != 1:
-                    unique_lifting = False
-                    violations.append(
-                        f"{len(hits)} lifts of edge {sys.format_index(a)} -- "
-                        f"{sys.format_index(b)} at vertex {instance.vertices[u]}"
-                    )
-        if not unique_lifting:
-            break
+    projection, vertices = instance.projection, instance.vertices
+    # class adjacency lists ascend (recoil_class builds them from sorted edges)
+    class_nbrs = {t: [b for b, _ in nbrs]
+                  for t, nbrs in instance.target_class.adjacency.items()}
+    bad_edges: list[str] = []
+    bad_lifts: list[str] = []
+    for u, nbrs in enumerate(instance.adjacency):
+        pu = projection[u]
+        if sorted([projection[v] for v, _, _ in nbrs]) == class_nbrs[pu]:
+            continue
+        for v, _, _ in nbrs:
+            if projection[v] not in class_nbrs[pu]:
+                a, b = min(u, v), max(u, v)  # edges are written smaller end first
+                bad_edges.append(
+                    f"edge {vertices[a]} -- {vertices[b]} projects to non-edge "
+                    f"{sys.format_index(projection[a])} -- {sys.format_index(projection[b])}"
+                )
+        for b in class_nbrs[pu]:
+            hits = sum(1 for v, _, _ in nbrs if projection[v] == b)
+            if hits != 1:
+                bad_lifts.append(
+                    f"{hits} lifts of edge {sys.format_index(pu)} -- "
+                    f"{sys.format_index(b)} at vertex {vertices[u]}"
+                )
+    edges_preserved = not bad_edges
+    unique_lifting = not bad_lifts
+    violations += bad_edges[:1] + bad_lifts  # the first bad edge in edge order
 
     status = "ok" if not violations else "failed"
     return CoveringReport(status, surjective, edges_preserved, unique_lifting, violations)

@@ -7,9 +7,11 @@ the 6-cycles of a braid pair (order 3) and, in groups that have them, the
 2m-gons of pairs of order m >= 4 ("polygon" loops).
 
 Lifting such a loop through a covering instance permutes the fiber over its
-base point.  Squares and commuting loops always act trivially; braid loops
-act with order 1 or 2; polygon orders are measured and reported without
-asserting a bound.
+base point.  Lifts are read off the instance's lift table
+(`CoveringInstance.lift_table`), which `unique_lift_edge` fills once per
+in-class step, so a step shared by many loops is lifted once.  Squares and
+commuting loops always act trivially; braid loops act with order 1 or 2;
+polygon orders are measured and reported without asserting a bound.
 """
 
 from __future__ import annotations
@@ -87,40 +89,51 @@ def relation_loops(sys: CoxeterSystem, cls: RecoilClass) -> list[Loop]:
 
 
 def lift_path(instance: CoveringInstance, start: Vertex, word: tuple[int, ...]) -> list[Vertex]:
-    """The unique lift of a downstairs walk, one factorization step at a
-    time.  The product starts as the projection of `start` and each step
-    advances it by one right Cayley lookup, so `unique_lift_edge` never
-    multiplies.  Raises NotAClassEdge if the walk leaves the target class."""
+    """The unique lift of a downstairs walk, read step by step off the
+    instance's lift table (`CoveringInstance.lift_table`), so every step
+    is the one `unique_lift_edge` decided.  Raises ValueError if `start` is
+    no vertex and NotAClassEdge if the walk leaves the target class."""
     try:
         vid = instance.id_of(start)
     except KeyError:
         raise ValueError(f"{start} is not a vertex of this instance") from None
-    sys = instance.system
-    right = sys.right_cayley
-    sigma = instance.projection[vid]
+    lifts = instance.lift_table()
     path = [start]
-    current = start
     for s in word:
-        current, _, _ = unique_lift_edge(sys, current, s, sigma)
-        sigma = right[sigma][s]
-        path.append(current)
+        nxt = lifts[s][vid]
+        if nxt < 0:
+            # the step leaves the class; unique_lift_edge raises the error
+            # that names it
+            unique_lift_edge(instance.system, path[-1], s, instance.projection[vid])
+            raise InvariantViolation(f"the lift table refused an in-class step s{s + 1}")
+        vid = nxt
+        path.append(instance.vertices[vid])
     return path
 
 
 def loop_action(instance: CoveringInstance, loop: Loop) -> FiberAction:
     """Permutation of the fiber over the loop's base induced by lifting the
-    loop from every fiber point."""
-    fiber = instance.fibers.get(loop.base)
+    loop from every fiber point, walking vertex ids through the instance's
+    lift table."""
+    base = loop.base
+    fiber = instance.fibers.get(base)
     if fiber is None:
         raise ValueError("loop base is not in the target class of this instance")
+    lifts, projection = instance.lift_table(), instance.projection
+    rows = [lifts[s] for s in loop.word]
     permutation: dict[int, int] = {}
     for vid in fiber:
-        path = lift_path(instance, instance.vertices[vid], loop.word)
-        end = instance.id_of(path[-1])
-        if instance.projection[end] != loop.base:
+        end = vid
+        for row in rows:
+            end = row[end]
+            if end < 0:  # the loop leaves the class: let lift_path say where
+                lift_path(instance, instance.vertices[vid], loop.word)
+        if projection[end] != base:
             raise InvariantViolation("lifted loop did not end over its base")
         permutation[vid] = end
-    if sorted(permutation.values()) != sorted(permutation):
+    if len(fiber) == 1 and end == vid:  # a one-point fiber, fixed
+        return FiberAction(loop, permutation, 1)
+    if permutation.keys() != set(permutation.values()):
         raise InvariantViolation("loop action is not a bijection of the fiber")
     return FiberAction(loop, permutation, _permutation_order(permutation))
 

@@ -10,10 +10,14 @@ The covering-axiom, lift-dichotomy and monodromy checks share one streamed
 sweep over the covering instances: every non-empty instance of every
 product is built once, handed to all three, and dropped before the next;
 only its fiber size is kept, for the algebra check's comparison with the
-convolution oracle.  A monodromy violation raises from inside that sweep,
-before the algebra check has run, so it can pre-empt an error that check
-would raise; either way the CLI prints only the group header and one
-`invariant failure:` line, and exits 1.
+convolution oracle.  The covering axioms are one local-bijection test per
+vertex.  The lift dichotomy fills the instance's lift table (each in-class
+step lifted once by `unique_lift_edge`) and checks every entry against the
+brute force; the monodromy check then walks its loops through that table.
+A monodromy violation raises from inside that sweep, before the algebra
+check has run, so it can pre-empt an error that check would raise; either
+way the CLI prints only the group header and one `invariant failure:`
+line, and exits 1.
 """
 
 from __future__ import annotations
@@ -175,32 +179,39 @@ def _check_coverings(sys: CoxeterSystem, fiber_sizes: FiberSizes,
 def _check_lift_dichotomy(sys, inst, res: CheckResult,
                           conjugates: dict[int, int | None]) -> None:
     """Both candidate factorizations of every in-class step, brute-forced:
-    exactly one must stay in its class, and it must match unique_lift_edge.
+    exactly one must stay in its class, it must match unique_lift_edge, and
+    the instance's lift table must hold the vertex unique_lift_edge gives.
     The conjugate of s by rho depends on (rho, s) alone, so it is
     multiplied out once per pair and kept in `conjugates` under
     rho*rank + s."""
     rank, right, recoils = sys.rank, sys.right_cayley, sys.recoils
-    for vid, (p, r) in enumerate(inst.vertices):
-        sigma = inst.projection[vid]
+    vertices, lifts = inst.vertices, inst.lift_table()
+    checked = 0
+    for vid, sigma in enumerate(inst.projection):
+        p, r = start = vertices[vid]
+        steps, rec_sigma, rec_p, rec_r = right[sigma], recoils[sigma], recoils[p], recoils[r]
         for s in range(rank):
-            if recoils[right[sigma][s]] != recoils[sigma]:
+            if recoils[steps[s]] != rec_sigma:
                 continue  # not an in-class step
-            res.checked += 1
-            right_ok = recoils[right[r][s]] == recoils[r]
+            checked += 1
+            right_ok = recoils[right[r][s]] == rec_r
             key = r * rank + s
             if key in conjugates:
                 conj = conjugates[key]
             else:
                 conj = conjugates[key] = conjugated_generator(sys, r, s)
-            left_ok = conj is not None and recoils[right[p][conj]] == recoils[p]
+            left_ok = conj is not None and recoils[right[p][conj]] == rec_p
             if right_ok == left_ok:
-                res.fail(f"lift dichotomy failed at {(p, r)} step s{s + 1}")
+                res.fail(f"lift dichotomy failed at {start} step s{s + 1}")
                 continue
-            vertex, side, gen = unique_lift_edge(sys, (p, r), s, sigma)
+            vertex, side, gen = unique_lift_edge(sys, start, s, sigma)
             expect = ((p, right[r][s]), "right", s) if right_ok \
                 else ((right[p][conj], r), "left", conj)
             if (vertex, side, gen) != expect:
-                res.fail(f"unique_lift_edge disagrees with brute force at {(p, r)} s{s + 1}")
+                res.fail(f"unique_lift_edge disagrees with brute force at {start} s{s + 1}")
+            elif (lifted := lifts[s][vid]) < 0 or vertices[lifted] != vertex:
+                res.fail(f"lift table disagrees with unique_lift_edge at {start} s{s + 1}")
+    res.checked += checked
 
 
 def _check_instance_monodromy(inst, res: CheckResult) -> None:

@@ -1,14 +1,17 @@
 """Shared test utilities, including a from-scratch permutation oracle that
 never touches the library's tables, and reference code for theorems the
 tests check (a union-find for components, cycle ranks of class graphs, the
-positional braid criterion, base-point independence of loop actions)."""
+positional braid criterion, loop actions lifted one step at a time,
+base-point independence of loop actions)."""
 
 from __future__ import annotations
 
 from itertools import permutations
 from typing import Iterable, Sequence
 
+from coxcover.covering import unique_lift_edge
 from coxcover.coxeter import _permutation_order
+from coxcover.errors import InvariantViolation
 from coxcover.gensets import from_one_based
 from coxcover.monodromy import FiberAction, Loop, lift_path
 from coxcover.words import WordEngine
@@ -171,3 +174,26 @@ def conjugate_action(instance, loop: Loop, path_word: tuple[int, ...]) -> FiberA
         permutation[vid] = instance.id_of(forward[-1])
     moved = Loop(end, tuple(reversed(path_word)) + loop.word + path_word, loop.kind)
     return FiberAction(moved, permutation, _permutation_order(permutation))
+
+
+def reference_loop_action(instance, loop: Loop) -> FiberAction:
+    """`loop_action` without the lift table: every fiber point walks the
+    loop by calling `unique_lift_edge` at each step, the product advancing
+    one right Cayley lookup per step."""
+    fiber = instance.fibers.get(loop.base)
+    if fiber is None:
+        raise ValueError("loop base is not in the target class of this instance")
+    sys = instance.system
+    permutation: dict[int, int] = {}
+    for vid in fiber:
+        current, sigma = instance.vertices[vid], instance.projection[vid]
+        for s in loop.word:
+            current, _, _ = unique_lift_edge(sys, current, s, sigma)
+            sigma = sys.right_cayley[sigma][s]
+        end = instance.id_of(current)
+        if instance.projection[end] != loop.base:
+            raise InvariantViolation("lifted loop did not end over its base")
+        permutation[vid] = end
+    if sorted(permutation.values()) != sorted(permutation):
+        raise InvariantViolation("loop action is not a bijection of the fiber")
+    return FiberAction(loop, permutation, _permutation_order(permutation))

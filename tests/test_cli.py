@@ -9,8 +9,9 @@ import time
 import pytest
 
 import coxcover
-from coxcover import verify
+from coxcover import cli, verify
 from coxcover.cli import main
+from coxcover.covering import CoveringReport
 from coxcover.errors import InvariantViolation
 
 B3_JSON = {"rank": 3, "m": [[1, 4, 2], [4, 1, 3], [2, 3, 1]], "element_cap": 200000}
@@ -111,6 +112,24 @@ def test_cover_json_and_dot(tmp_path, capsys):
     dot = dot_file.read_text()
     assert dot.count('"(') - dot.count(" -- ") * 2 == 5  # five vertex lines
     assert "color=blue" in dot and "color=red" in dot
+
+
+def test_cover_failed_axioms_exit_1_in_both_formats(capsys, monkeypatch):
+    witness = "0 lifts of edge 1324 -- 3124 at vertex (1, 2)"
+
+    def failed(instance):
+        return CoveringReport("failed", True, True, False, [witness])
+
+    monkeypatch.setattr(cli, "verify_covering", failed)
+    argv = ["cover", "--group", "S4", "--left", "1", "--right", "3", "--target", "1,3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.endswith(f"covering axioms FAILED: {witness}\n")
+    # JSON mode prints the same instance, then the witness on stderr
+    assert main(argv + ["--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"I": [1], "J": [3], "K": [1, 3], "a": 1,
+                                        "lambda": [1], "components": 1, "vertices": 5}
+    assert captured.err == f"invariant failure: covering axioms failed: {witness}\n"
 
 
 def test_monodromy_flagship(capsys):

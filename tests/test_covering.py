@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from coxcover import (
@@ -90,6 +92,58 @@ def test_covering_axioms_all_s4(s4):
                 assert verify_covering(inst).ok
                 assert sum(multiplicity_partition(inst)) == inst.fiber_size
     assert checked == 188
+
+
+def _rewired(inst, edges):
+    """A copy of the instance with its edges replaced and its adjacency
+    rebuilt to match them."""
+    edges = sorted(edges)
+    adjacency = [[] for _ in inst.vertices]
+    for u, v, side, s in edges:
+        adjacency[u].append((v, side, s))
+        adjacency[v].append((u, side, s))
+    return dataclasses.replace(inst, edges=edges, adjacency=adjacency)
+
+
+def test_covering_axioms_fail_on_a_dropped_edge(s4):
+    inst = build_fibered_graph(s4, subset(1), subset(3), subset(1, 3))
+    u, v, _, _ = dropped = inst.edges[0]
+    report = verify_covering(_rewired(inst, [e for e in inst.edges if e != dropped]))
+    assert report.status == "failed"
+    assert (report.surjective, report.edges_preserved, report.unique_lifting) == \
+        (True, True, False)
+    pu, pv = (s4.format_index(inst.projection[x]) for x in (u, v))
+    assert report.violations[0].startswith("0 lifts of edge ")
+    assert f"0 lifts of edge {pu} -- {pv} at vertex {inst.vertices[u]}" in report.violations
+    assert f"0 lifts of edge {pv} -- {pu} at vertex {inst.vertices[v]}" in report.violations
+
+
+def test_covering_axioms_fail_on_a_duplicated_neighbour(s4):
+    inst = build_fibered_graph(s4, subset(1), subset(3), subset(1, 3))
+    u, v, _, _ = inst.edges[0]
+    report = verify_covering(_rewired(inst, inst.edges + [inst.edges[0]]))
+    assert report.status == "failed"
+    assert (report.surjective, report.edges_preserved, report.unique_lifting) == \
+        (True, True, False)
+    pu, pv = (s4.format_index(inst.projection[x]) for x in (u, v))
+    assert report.violations[0].startswith("2 lifts of edge ")
+    assert f"2 lifts of edge {pu} -- {pv} at vertex {inst.vertices[u]}" in report.violations
+
+
+def test_covering_axioms_fail_on_an_edge_over_a_non_edge(s4):
+    inst = build_fibered_graph(s4, subset(1), subset(3), subset(1, 3))
+    cls = inst.target_class
+    u, v = next((u, v) for u in range(len(inst.vertices))
+                for v in range(u + 1, len(inst.vertices))
+                if inst.projection[u] != inst.projection[v]
+                and all(b != inst.projection[v] for b, _ in cls.adjacency[inst.projection[u]]))
+    report = verify_covering(_rewired(inst, inst.edges + [(u, v, "right", 0)]))
+    assert report.status == "failed"
+    assert (report.surjective, report.edges_preserved, report.unique_lifting) == \
+        (True, False, True)
+    pu, pv = (s4.format_index(inst.projection[x]) for x in (u, v))
+    assert report.violations == [
+        f"edge {inst.vertices[u]} -- {inst.vertices[v]} projects to non-edge {pu} -- {pv}"]
 
 
 INSTANCE_FIELDS = ("left", "right", "target", "vertices", "projection", "edges",
@@ -224,6 +278,27 @@ def test_unique_lift_with_known_product_matches_multiplied(group, request):
                         assert unique_lift_edge(sys_, vertex, s, sigma) == \
                             unique_lift_edge(sys_, vertex, s, sys_.multiply_index(*vertex))
     assert steps > 0
+
+
+def test_lift_table_holds_the_unique_lifts(s4, i6, b3, h3):
+    for sys_ in (s4, i6, b3, h3):
+        in_class = 0
+        for left in iter_subsets(sys_.rank):
+            for right in iter_subsets(sys_.rank):
+                for _, inst in iter_fibered_graphs(sys_, left, right):
+                    lifts = inst.lift_table()
+                    assert len(lifts) == sys_.rank
+                    assert inst.lift_table() is lifts  # filled once, then kept
+                    for vid, vertex in enumerate(inst.vertices):
+                        sigma = inst.projection[vid]
+                        for s in range(sys_.rank):
+                            if same_class_edge_index(sys_, sigma, s):
+                                in_class += 1
+                                lifted, _, _ = unique_lift_edge(sys_, vertex, s, sigma)
+                                assert lifts[s][vid] == inst.id_of(lifted)
+                            else:
+                                assert lifts[s][vid] == -1
+        assert in_class > 0
 
 
 def test_fiber_constancy_and_counting(s5):

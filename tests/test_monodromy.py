@@ -16,11 +16,12 @@ from coxcover import (
     relation_loops,
     unique_lift_edge,
 )
-from coxcover.errors import NotAClassEdge
+from coxcover.errors import InvariantViolation, NotAClassEdge
 from coxcover.gensets import iter_subsets
 
 from .support import (
-    braid_loop_exists_positional, conjugate_action, perm, perm_index, subset)
+    braid_loop_exists_positional, conjugate_action, perm, perm_index,
+    reference_loop_action, subset)
 
 FLAGSHIP = (subset(2, 3), subset(3, 4), subset(1, 3))
 
@@ -158,6 +159,55 @@ def test_reference_braid_loop_swaps_fiber(s5):
     assert once[-1] == inst.vertices[b]
     twice = lift_path(inst, once[-1], loop.word)
     assert twice[-1] == start
+
+
+@pytest.mark.parametrize("group", ["s4", "b3", "h3"])
+def test_loop_action_matches_step_by_step_lifts(group, request):
+    sys_ = request.getfixturevalue(group)
+    actions = 0
+    for left in iter_subsets(sys_.rank):
+        for right in iter_subsets(sys_.rank):
+            for target, inst in iter_fibered_graphs(sys_, left, right):
+                for loop in relation_loops(sys_, recoil_class(sys_, target)):
+                    got, want = loop_action(inst, loop), reference_loop_action(inst, loop)
+                    assert (got.permutation, got.order) == (want.permutation, want.order)
+                    actions += 1
+    assert actions > 0
+
+
+def test_loop_action_refuses_a_walk_leaving_the_class(s4):
+    inst = build_fibered_graph(s4, subset(1), subset(3), subset(1))
+    base = inst.target_class.members[0]
+    # a square whose first step by s1 exits the target class
+    loop = Loop(base, (0, 0), "square")
+    for action in (loop_action, reference_loop_action):
+        with pytest.raises(NotAClassEdge):
+            action(inst, loop)
+
+
+def test_loop_action_refuses_a_lift_table_that_merges_fiber_points(s5):
+    inst = build_fibered_graph(s5, *FLAGSHIP)
+    loop = next(l for l in relation_loops(s5, inst.target_class) if l.kind == "square")
+    a, b = inst.fibers[loop.base]
+    lifts = inst.lift_table()
+    lifts[loop.word[0]][a] = lifts[loop.word[0]][b]
+    with pytest.raises(InvariantViolation, match="not a bijection"):
+        loop_action(inst, loop)
+
+
+def test_loop_action_refuses_a_one_point_fiber_that_moves(s4):
+    inst = build_fibered_graph(s4, subset(1), subset(3), subset(1, 3))
+    loop = next(l for l in relation_loops(s4, inst.target_class) if l.kind == "square")
+    [vid] = inst.fibers[loop.base]
+    s = loop.word[0]
+    lifts = inst.lift_table()
+    mid = lifts[s][vid]
+    # route the way back to a vertex outside the fiber and claim it lies over the base
+    other = next(w for w in range(len(inst.vertices)) if w not in (vid, mid))
+    lifts[s][mid] = other
+    inst.projection[other] = loop.base
+    with pytest.raises(InvariantViolation, match="not a bijection"):
+        loop_action(inst, loop)
 
 
 def test_squares_and_commuting_act_trivially_everywhere(s4):
