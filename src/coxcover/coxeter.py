@@ -407,18 +407,22 @@ def _root_action(spec: CoxeterSpec, largest: int) -> list[list[int]]:
 
 def _permutation_order(permutation: dict[int, int]) -> int:
     """Order of the permutation x -> permutation[x]: the lcm of its cycle
-    lengths."""
+    lengths.  A fixed point costs one comparison.  Raises ValueError when
+    the map is not a bijection of its keys."""
     order = 1
     seen: set[int] = set()
-    for start in permutation:
-        size = 0
-        x = start
-        while x not in seen:
+    for start, x in permutation.items():
+        if x == start or start in seen:
+            continue
+        seen.add(start)
+        size = 1
+        while x != start:
+            if x in seen or x not in permutation:
+                raise ValueError("not a bijection of its keys")
             seen.add(x)
             x = permutation[x]
             size += 1
-        if size:
-            order = math.lcm(order, size)
+        order = math.lcm(order, size)
     return order
 
 
@@ -429,6 +433,7 @@ def _check_root_action(matrix: tuple[tuple[int, ...], ...], perms: list[list[int
         if any(p[p[i]] != i for i in range(len(p))):
             raise InvariantViolation(
                 f"root identification failed: generator {s + 1} does not act as an involution")
+    for s, p in enumerate(perms):
         for t in range(s + 1, len(perms)):
             order = _permutation_order({i: p[j] for i, j in enumerate(perms[t])})
             if order != matrix[s][t]:

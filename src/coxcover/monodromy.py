@@ -114,7 +114,8 @@ def lift_path(instance: CoveringInstance, start: Vertex, word: tuple[int, ...]) 
 def loop_action(instance: CoveringInstance, loop: Loop) -> FiberAction:
     """Permutation of the fiber over the loop's base induced by lifting the
     loop from every fiber point, walking vertex ids through the instance's
-    lift table."""
+    lift table.  One cycle walk (`_permutation_order`) checks that the ends
+    permute the fiber and gives the order."""
     base = loop.base
     fiber = instance.fibers.get(base)
     if fiber is None:
@@ -131,11 +132,11 @@ def loop_action(instance: CoveringInstance, loop: Loop) -> FiberAction:
         if projection[end] != base:
             raise InvariantViolation("lifted loop did not end over its base")
         permutation[vid] = end
-    if len(fiber) == 1 and end == vid:  # a one-point fiber, fixed
-        return FiberAction(loop, permutation, 1)
-    if permutation.keys() != set(permutation.values()):
-        raise InvariantViolation("loop action is not a bijection of the fiber")
-    return FiberAction(loop, permutation, _permutation_order(permutation))
+    try:
+        order = _permutation_order(permutation)
+    except ValueError:
+        raise InvariantViolation("loop action is not a bijection of the fiber") from None
+    return FiberAction(loop, permutation, order)
 
 
 @dataclass

@@ -221,6 +221,28 @@ def test_root_action_checks():
         coxeter._check_root_action(((1, 2), (2, 1)), [[2, 0, 1, 3], [0, 3, 2, 1]])
 
 
+@pytest.mark.parametrize("permutation, order", [
+    ({}, 1),
+    ({5: 5}, 1),
+    ({1: 2, 2: 1, 3: 3}, 2),
+    ({0: 1, 1: 2, 2: 0, 3: 4, 4: 3}, 6),
+])
+def test_permutation_order(permutation, order):
+    assert coxeter._permutation_order(permutation) == order
+
+
+@pytest.mark.parametrize("permutation", [
+    {1: 1, 2: 1},         # a fixed point with a second preimage
+    {2: 1, 1: 1},
+    {1: 2, 2: 3, 3: 2},   # a tail running into a cycle
+    {1: 2},               # an image outside the keys
+    {1: 2, 2: 9},
+])
+def test_permutation_order_refuses_a_non_bijection(permutation):
+    with pytest.raises(ValueError, match="not a bijection"):
+        coxeter._permutation_order(permutation)
+
+
 def test_longest_element_check(monkeypatch):
     # an action that satisfies the relations but has two points too many
     monkeypatch.setattr(coxeter, "_root_action",
