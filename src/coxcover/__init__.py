@@ -5,7 +5,6 @@ from .algebra import (
     AlgebraElement,
     StructureTable,
     TableRow,
-    algebra_product,
     convolution_oracle,
     expansion_rows,
     full_table,

@@ -134,24 +134,6 @@ def y_from_x(elem: AlgebraElement) -> AlgebraElement:
     return AlgebraElement.make("Y", _superset_transform(elem.as_dict(), +1))
 
 
-def algebra_product(sys: CoxeterSystem, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Product of two algebra elements, in the basis both arguments share.
-
-    X-basis products are computed through the Y basis, so their structure
-    constants are exposed without a separate table.
-    """
-    if a.basis != b.basis:
-        raise ValueError("operands must share a basis")
-    if a.basis == "X":
-        return x_from_y(algebra_product(sys, y_from_x(a), y_from_x(b)))
-    out: Counter[int] = Counter()
-    for mi, ci in a.coeffs:
-        for mj, cj in b.coeffs:
-            for mk, ck in product_expand(sys, mi, mj).coeffs:
-                out[mk] += ci * cj * ck
-    return AlgebraElement.make("Y", dict(out))
-
-
 @dataclass(frozen=True)
 class TableRow:
     left: tuple[int, ...]    # serialized subsets, 1-based ascending

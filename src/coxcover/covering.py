@@ -27,8 +27,10 @@ structure constants of the descent algebra.
 
 `unique_lift_edge` decides how one in-class step of the product lifts.
 `CoveringInstance.lift_table` asks it once for every in-class step of an
-instance and keeps the answers as vertex ids, which the monodromy code
-reads instead of lifting a step again for every loop through it.
+instance and keeps the answers as vertex ids; that is the only time a step
+is lifted.  The monodromy code walks its loops through the table, and the
+invariant sweep checks the table against a brute force that does not call
+`unique_lift_edge`.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class CoveringInstance:
     id_by_key: dict[int, int] = field(repr=False)  # pi*|W| + rho -> vertex id
     projection: list[int]                     # vertex id -> element index of the product
     edges: list[tuple[int, int, str, int]]    # (u, v, side, generator), u < v
-    adjacency: list[list[tuple[int, str, int]]] = field(repr=False)
+    adjacency: list[list[int]] = field(repr=False)  # vertex id -> neighbour ids
     fibers: dict[int, list[int]]              # target element -> vertex ids
     component: list[int]                      # vertex id -> component id
     degrees: list[int]                        # component id -> covering degree
@@ -100,7 +102,7 @@ class CoveringInstance:
                 for s, row in enumerate(lifts):
                     # every product lies in the target class
                     if recoils[steps[s]] == target:
-                        (p, r), _, _ = unique_lift_edge(sys, vertex, s, sigma)
+                        p, r = unique_lift_edge(sys, vertex, s, sigma)
                         # both coordinates come from the Cayley tables, so
                         # the key cannot alias another vertex's
                         v = get(p * order + r)
@@ -208,10 +210,10 @@ def _wire(sys: CoxeterSystem, left: int, right: int, target: int,
                 if v is not None and projection[v] in right_cayley[projection[u]]:
                     edges.append((u, v, "left", s))
     edges.sort()  # no two edges share (u, v), so this orders them by (u, v)
-    adjacency: list[list[tuple[int, str, int]]] = [[] for _ in vertices]
-    for u, v, side, s in edges:
-        adjacency[u].append((v, side, s))
-        adjacency[v].append((u, side, s))
+    adjacency: list[list[int]] = [[] for _ in vertices]
+    for u, v, _, _ in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
 
     fibers: dict[int, list[int]] = {t: [] for t in cls_t.members}
     for vid, prod in enumerate(projection):
@@ -235,7 +237,7 @@ def _wire(sys: CoxeterSystem, left: int, right: int, target: int,
         component[root] = n_comp
         stack = [root]
         while stack:
-            for v, _, _ in adjacency[stack.pop()]:
+            for v in adjacency[stack.pop()]:
                 if component[v] == -1:
                     component[v] = n_comp
                     stack.append(v)
@@ -335,9 +337,9 @@ def verify_covering(instance: CoveringInstance) -> CoveringReport:
     bad_lifts: list[str] = []
     for u, nbrs in enumerate(instance.adjacency):
         pu = projection[u]
-        if sorted([projection[v] for v, _, _ in nbrs]) == class_nbrs[pu]:
+        if sorted([projection[v] for v in nbrs]) == class_nbrs[pu]:
             continue
-        for v, _, _ in nbrs:
+        for v in nbrs:
             if projection[v] not in class_nbrs[pu]:
                 a, b = min(u, v), max(u, v)  # edges are written smaller end first
                 bad_edges.append(
@@ -345,7 +347,7 @@ def verify_covering(instance: CoveringInstance) -> CoveringReport:
                     f"{sys.format_index(projection[a])} -- {sys.format_index(projection[b])}"
                 )
         for b in class_nbrs[pu]:
-            hits = sum(1 for v, _, _ in nbrs if projection[v] == b)
+            hits = sum(1 for v in nbrs if projection[v] == b)
             if hits != 1:
                 bad_lifts.append(
                     f"{hits} lifts of edge {sys.format_index(pu)} -- "
@@ -360,14 +362,15 @@ def verify_covering(instance: CoveringInstance) -> CoveringReport:
 
 
 def unique_lift_edge(sys: CoxeterSystem, vertex: Vertex, s: int,
-                     sigma: int) -> tuple[Vertex, str, int]:
+                     sigma: int) -> Vertex:
     """Lift one in-class step of the product through the factorization.
 
     Given a vertex (pi, rho) whose product sigma moves to sigma*s inside its
     recoil class, exactly one of two refactorings works: either rho*s stays
     in rho's class (the right coordinate moves by s), or rho s rho^-1 is a
     simple generator t and pi*t stays in pi's class (the left coordinate
-    moves by t).  Returns the new vertex, the side and the moved generator.
+    moves by t).  Returns the new vertex; the side follows from it, since a
+    right lift changes rho and a left lift changes pi.
 
     `sigma` is the product pi*rho, as an instance's `projection` holds it;
     nothing is multiplied out.  t is read off the tables by
@@ -383,11 +386,11 @@ def unique_lift_edge(sys: CoxeterSystem, vertex: Vertex, s: int,
         )
     r2 = right[r][s]
     if recoils[r2] == recoils[r]:
-        return (p, r2), "right", s
+        return p, r2
     t = simple_conjugate(sys, r, s)
     if t is None:
         raise InvariantViolation("neither factorization of the lifted step is valid")
     p2 = right[p][t]
     if recoils[p2] != recoils[p]:
         raise InvariantViolation("left factorization left the first coordinate's class")
-    return (p2, r), "left", t
+    return p2, r

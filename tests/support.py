@@ -2,13 +2,16 @@
 never touches the library's tables, and reference code for theorems the
 tests check (a union-find for components, cycle ranks of class graphs, the
 positional braid criterion, loop actions lifted one step at a time,
-base-point independence of loop actions)."""
+base-point independence of loop actions), and the algebra product, which
+only the tests use."""
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations
 from typing import Iterable, Sequence
 
+from coxcover.algebra import AlgebraElement, product_expand, x_from_y, y_from_x
 from coxcover.covering import unique_lift_edge
 from coxcover.coxeter import _permutation_order
 from coxcover.errors import InvariantViolation
@@ -132,6 +135,16 @@ class UnionFind:
         return out
 
 
+def lift_side(sys, vertex, lifted) -> tuple[str, int]:
+    """The coordinate a lift moved and the generator it moved by, read off
+    the two vertices: ("right", s) when rho became rho*s, ("left", t) when
+    pi became pi*t."""
+    (p, r), (p2, r2) = vertex, lifted
+    if p == p2:
+        return "right", sys.right_cayley[r].index(r2)
+    return "left", sys.right_cayley[p].index(p2)
+
+
 def cycle_rank(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> int:
     """Edges minus vertices plus components of a finite simple graph; the
     number of independent cycles (0 exactly for forests)."""
@@ -188,7 +201,7 @@ def reference_loop_action(instance, loop: Loop) -> FiberAction:
     for vid in fiber:
         current, sigma = instance.vertices[vid], instance.projection[vid]
         for s in loop.word:
-            current, _, _ = unique_lift_edge(sys, current, s, sigma)
+            current = unique_lift_edge(sys, current, s, sigma)
             sigma = sys.right_cayley[sigma][s]
         end = instance.id_of(current)
         if instance.projection[end] != loop.base:
@@ -197,3 +210,22 @@ def reference_loop_action(instance, loop: Loop) -> FiberAction:
     if sorted(permutation.values()) != sorted(permutation):
         raise InvariantViolation("loop action is not a bijection of the fiber")
     return FiberAction(loop, permutation, _permutation_order(permutation))
+
+
+def algebra_product(sys, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """Product of two algebra elements, in the basis both arguments share,
+    from the library's class-pair expansions.
+
+    X-basis products are computed through the Y basis, so their structure
+    constants are exposed without a separate table.
+    """
+    if a.basis != b.basis:
+        raise ValueError("operands must share a basis")
+    if a.basis == "X":
+        return x_from_y(algebra_product(sys, y_from_x(a), y_from_x(b)))
+    out: Counter[int] = Counter()
+    for mi, ci in a.coeffs:
+        for mj, cj in b.coeffs:
+            for mk, ck in product_expand(sys, mi, mj).coeffs:
+                out[mk] += ci * cj * ck
+    return AlgebraElement.make("Y", dict(out))

@@ -7,7 +7,6 @@ import pytest
 
 from coxcover import (
     AlgebraElement,
-    algebra_product,
     build_fibered_graph,
     convolution_oracle,
     expansion_rows,
@@ -19,7 +18,7 @@ from coxcover import (
 )
 from coxcover.gensets import bit_indices, from_bits, iter_subsets, one_based
 
-from .support import compose, oracle_recoils, subset
+from .support import algebra_product, compose, oracle_recoils, subset
 
 
 def expansion(elem: AlgebraElement) -> dict[tuple[int, ...], int]:

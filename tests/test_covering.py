@@ -18,8 +18,8 @@ from coxcover.gensets import iter_subsets
 from coxcover.recoil import conjugated_generator, same_class_edge_index
 
 from .support import (
-    UnionFind, class_cycle_rank, compose, cycle_rank, oracle_class, oracle_class_edges,
-    perm, perm_index, subset)
+    UnionFind, class_cycle_rank, compose, cycle_rank, lift_side, oracle_class,
+    oracle_class_edges, perm, perm_index, subset)
 
 
 def test_s4_instance_1_3_13(s4):
@@ -99,9 +99,9 @@ def _rewired(inst, edges):
     rebuilt to match them."""
     edges = sorted(edges)
     adjacency = [[] for _ in inst.vertices]
-    for u, v, side, s in edges:
-        adjacency[u].append((v, side, s))
-        adjacency[v].append((u, side, s))
+    for u, v, _, _ in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
     return dataclasses.replace(inst, edges=edges, adjacency=adjacency)
 
 
@@ -203,30 +203,30 @@ def test_left_moves_with_nonsimple_conjugate_are_not_edges(s5):
     rho = perm_index(s5, "15243")
     u = inst.id_of((pi, rho))
     v = inst.id_of((pi2, rho))
-    assert all(nbr != v for nbr, _, _ in inst.adjacency[u])
+    assert v not in inst.adjacency[u]
 
 
 def test_unique_lift_left_case(s4):
     vertex = (perm_index(s4, "2314"), perm_index(s4, "1243"))
-    lifted, side, gen = unique_lift_edge(s4, vertex, 2, s4.multiply_index(*vertex))
-    assert side == "left" and gen == 2
+    lifted = unique_lift_edge(s4, vertex, 2, s4.multiply_index(*vertex))
+    assert lift_side(s4, vertex, lifted) == ("left", 2)
     assert tuple(s4.elements[i] for i in lifted) == (perm("2341"), perm("1243"))
 
 
 def test_unique_lift_right_case(s4):
     vertex = (perm_index(s4, "2341"), perm_index(s4, "1243"))
-    lifted, side, gen = unique_lift_edge(s4, vertex, 1, s4.multiply_index(*vertex))
-    assert side == "right" and gen == 1
+    lifted = unique_lift_edge(s4, vertex, 1, s4.multiply_index(*vertex))
+    assert lift_side(s4, vertex, lifted) == ("right", 1)
     assert tuple(s4.elements[i] for i in lifted) == (perm("2341"), perm("1423"))
 
 
 def test_unique_lift_dihedral(i6):
     s, t = i6.gen_index
-    lifted, side, gen = unique_lift_edge(i6, (s, t), 0, i6.multiply_index(s, t))
-    assert side == "right"
+    lifted = unique_lift_edge(i6, (s, t), 0, i6.multiply_index(s, t))
+    assert lift_side(i6, (s, t), lifted) == ("right", 0)
     assert tuple(i6.format_index(i) for i in lifted) == ("s", "ts")
-    lifted, side, gen = unique_lift_edge(i6, (s, t), 1, i6.multiply_index(s, t))
-    assert side == "left" and gen == 1
+    lifted = unique_lift_edge(i6, (s, t), 1, i6.multiply_index(s, t))
+    assert lift_side(i6, (s, t), lifted) == ("left", 1)
     assert tuple(i6.format_index(i) for i in lifted) == ("st", "t")
 
 
@@ -255,8 +255,9 @@ def test_lift_dichotomy_brute_force(s4):
                         conj = conjugated_generator(s4, r, s)
                         left_ok = conj is not None and same_class_edge_index(s4, p, conj)
                         assert right_ok != left_ok
-                        vertex, side, _ = unique_lift_edge(s4, (p, r), s, sigma)
-                        assert side == ("right" if right_ok else "left")
+                        vertex = unique_lift_edge(s4, (p, r), s, sigma)
+                        assert lift_side(s4, (p, r), vertex) == \
+                            (("right", s) if right_ok else ("left", conj))
                         assert inst.id_of(vertex) >= 0  # KeyError if not a vertex
 
 
@@ -294,7 +295,7 @@ def test_lift_table_holds_the_unique_lifts(s4, i6, b3, h3):
                         for s in range(sys_.rank):
                             if same_class_edge_index(sys_, sigma, s):
                                 in_class += 1
-                                lifted, _, _ = unique_lift_edge(sys_, vertex, s, sigma)
+                                lifted = unique_lift_edge(sys_, vertex, s, sigma)
                                 assert lifts[s][vid] == inst.id_of(lifted)
                             else:
                                 assert lifts[s][vid] == -1

@@ -135,10 +135,10 @@ def test_lift_path_two_steps_matches_multiplied_lifts(group, request):
                                 with pytest.raises(NotAClassEdge):
                                     lift_path(inst, start, (s1, s2))
                                 continue
-                            first, _, _ = unique_lift_edge(sys_, start, s1,
-                                                           sys_.multiply_index(*start))
-                            second, _, _ = unique_lift_edge(sys_, first, s2,
-                                                          sys_.multiply_index(*first))
+                            first = unique_lift_edge(sys_, start, s1,
+                                                     sys_.multiply_index(*start))
+                            second = unique_lift_edge(sys_, first, s2,
+                                                      sys_.multiply_index(*first))
                             assert lift_path(inst, start, (s1, s2)) == [start, first, second]
     assert refused > 0
 

@@ -36,9 +36,9 @@ def test_sweep_builds_each_instance_once(group, request, monkeypatch):
 
 
 @pytest.mark.parametrize("group", ["s4", "i6"])
-def test_sweep_lifts_each_in_class_step_at_most_twice(group, request, monkeypatch):
-    # once for the dichotomy's own comparison and once to fill the lift
-    # table; the relation loops read the table and lift nothing again
+def test_sweep_lifts_each_in_class_step_exactly_once(group, request, monkeypatch):
+    # filling the lift table is the only lift; the dichotomy checks the
+    # table against its brute force and the relation loops read the table
     sys_ = request.getfixturevalue(group)
     lift = covering.unique_lift_edge
     calls = 0
@@ -48,13 +48,27 @@ def test_sweep_lifts_each_in_class_step_at_most_twice(group, request, monkeypatc
         calls += 1
         return lift(*args)
 
+    # verify holds no such name (raising=False); patching it there anyway
+    # counts the calls of any import that would bring one in
     for module in (covering, verify, monodromy):
-        monkeypatch.setattr(module, "unique_lift_edge", counting)
+        monkeypatch.setattr(module, "unique_lift_edge", counting, raising=False)
     results = {r.name: r.checked for r in run_invariant_sweep(sys_)}
     non_empty = results["monodromy"]
     in_class_steps = results["covering axioms"] - non_empty  # one check per instance besides
     assert in_class_steps > 0
-    assert calls <= 2 * in_class_steps
+    assert calls == in_class_steps
+
+
+@pytest.mark.parametrize("group, start", [("s4", "(0, 3) s2"), ("i6", "(0, 1) s2")],
+                         ids=["s4", "i6"])
+def test_lift_dichotomy_does_not_trust_unique_lift_edge(group, start, request, monkeypatch):
+    # a lift that does not move fills the table with the vertex itself;
+    # only the brute force can tell
+    sys_ = request.getfixturevalue(group)
+    monkeypatch.setattr(covering, "unique_lift_edge", lambda sys, vertex, s, sigma: vertex)
+    results = {r.name: r for r in run_invariant_sweep(sys_)}
+    assert results["covering axioms"].failures[0] == \
+        f"lift table disagrees with brute force at {start}"
 
 
 def test_lift_dichotomy_checks_the_lift_table(s4):
@@ -65,7 +79,7 @@ def test_lift_dichotomy_checks_the_lift_table(s4):
     lifts = inst.lift_table()
     s, vid = next((s, vid) for s, row in enumerate(lifts)
                   for vid, lifted in enumerate(row) if lifted >= 0)
-    witness = f"lift table disagrees with unique_lift_edge at {inst.vertices[vid]} s{s + 1}"
+    witness = f"lift table disagrees with brute force at {inst.vertices[vid]} s{s + 1}"
     for wrong in (vid, -1):  # a lift always moves; -1 refuses an in-class step
         lifts[s][vid] = wrong
         res = CheckResult("tampered")
