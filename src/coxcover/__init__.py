@@ -39,7 +39,6 @@ from .monodromy import (
     Loop,
     MonodromyReport,
     component_isomorphisms,
-    lift_path,
     loop_action,
     monodromy_report,
     relation_loops,

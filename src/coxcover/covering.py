@@ -15,7 +15,8 @@ product filtered on K.  `iter_fibered_graphs` builds every non-empty
 instance of (I, J) from a single scan, bucketed by the recoil set of each
 product; both hand their vertices to the same wiring step, so an instance
 is identical whichever way it was built.  That step labels the components
-by a search over the instance's adjacency lists.
+by a search over the instance's adjacency lists and checks that every
+fiber splits the same way across them (FiberInconstant otherwise).
 
 The projection sends (pi, rho) to pi*rho.  Everything this package computes
 downstream rests on that projection being a graph covering of the target
@@ -28,8 +29,9 @@ structure constants of the descent algebra.
 `unique_lift_edge` decides how one in-class step of the product lifts.
 `CoveringInstance.lift_table` asks it once for every in-class step of an
 instance and keeps the answers as vertex ids; that is the only time a step
-is lifted.  The monodromy code walks its loops through the table, and the
-invariant sweep checks the table against a brute force that does not call
+is lifted.  `monodromy.loop_action`, the only code that walks the table,
+moves fiber points along relation loops through it, and the invariant
+sweep checks the table against a brute force that does not call
 `unique_lift_edge`.
 """
 
@@ -76,15 +78,6 @@ class CoveringInstance:
     @property
     def component_count(self) -> int:
         return len(self.degrees)
-
-    def id_of(self, vertex: Vertex) -> int:
-        """Vertex id of the pair (pi, rho); KeyError when it is no vertex."""
-        p, r = vertex
-        vid = self.id_by_key.get(p * len(self.system.elements) + r)
-        # a coordinate out of range can still hit another vertex's key
-        if vid is None or self.vertices[vid] != vertex:
-            raise KeyError(vertex)
-        return vid
 
     def lift_table(self) -> list[list[int]]:
         """`lifts[s][u]`: the id of the vertex that lifts the step
@@ -134,7 +127,7 @@ def build_fibered_graph(sys: CoxeterSystem, left: int, right: int,
     """
     cls_l = recoil_class(sys, left)
     cls_r = recoil_class(sys, right)
-    recoil_class(sys, target)  # refuses a target outside the rank before the scan
+    cls_t = recoil_class(sys, target)  # refuses a target outside the rank before the scan
 
     vertices: list[Vertex] = []
     projection: list[int] = []
@@ -144,7 +137,7 @@ def build_fibered_graph(sys: CoxeterSystem, left: int, right: int,
             if sys.recoils[prod] == target:
                 vertices.append((p, r))
                 projection.append(prod)
-    return _wire(sys, left, right, target, vertices, projection)
+    return _wire(sys, cls_l, cls_r, cls_t, vertices, projection)
 
 
 def iter_fibered_graphs(sys: CoxeterSystem, left: int,
@@ -174,17 +167,19 @@ def iter_fibered_graphs(sys: CoxeterSystem, left: int,
             bucket[1].append(prod)
     for target in sorted(buckets):
         vertices, projection = buckets.pop(target)
-        yield target, _wire(sys, left, right, target, vertices, projection)
+        yield target, _wire(sys, cls_l, cls_r, recoil_class(sys, target),
+                            vertices, projection)
 
 
-def _wire(sys: CoxeterSystem, left: int, right: int, target: int,
-          vertices: list[Vertex], projection: list[int]) -> CoveringInstance:
+def _wire(sys: CoxeterSystem, cls_l: RecoilClass, cls_r: RecoilClass,
+          cls_t: RecoilClass, vertices: list[Vertex],
+          projection: list[int]) -> CoveringInstance:
     """Edges, fibers, components and per-component degrees over the given
-    vertices, which must be every pair of the product that lands in the
-    target class, in scan order (ascending pairs), with their products."""
-    cls_l = recoil_class(sys, left)
-    cls_r = recoil_class(sys, right)
-    cls_t = recoil_class(sys, target)
+    vertices, which must be every pair of the product of the classes cls_l
+    and cls_r that lands in cls_t, in scan order (ascending pairs), with
+    their products.  Raises FiberInconstant unless every fiber splits the
+    same way across the components, so in particular has the same size."""
+    left, right, target = cls_l.subset, cls_r.subset, cls_t.subset
     order = len(sys.elements)
     id_by_key = {p * order + r: i for i, (p, r) in enumerate(vertices)}
     get = id_by_key.get
@@ -219,14 +214,6 @@ def _wire(sys: CoxeterSystem, left: int, right: int, target: int,
     for vid, prod in enumerate(projection):
         fibers[prod].append(vid)
 
-    sizes = {len(f) for f in fibers.values()}
-    if len(sizes) > 1:
-        raise FiberInconstant(
-            f"fiber sizes {sorted(sizes)} differ over class {format_subset(target)} "
-            f"in the ({format_subset(left)}, {format_subset(right)}) instance"
-        )
-    fiber_size = sizes.pop() if sizes else 0
-
     # searches start from ascending unlabelled vertices, so a component's
     # id follows its smallest vertex
     component = [-1] * len(vertices)
@@ -244,6 +231,7 @@ def _wire(sys: CoxeterSystem, left: int, right: int, target: int,
         n_comp += 1
     degrees = _component_degrees(component, n_comp, fibers, cls_t,
                                  left, right, target)
+    fiber_size = sum(degrees)
 
     return CoveringInstance(
         left=left, right=right, target=target, system=sys,

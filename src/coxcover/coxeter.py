@@ -446,6 +446,10 @@ def _build_from_roots(spec: CoxeterSpec) -> CoxeterSystem:
     rank = spec.rank
     cap = spec.element_cap
     matrix = spec.coxeter_matrix()
+    # every subset J of the generators is the recoil set of the longest
+    # element of W_J, so |W| >= 2^rank
+    if 2 ** rank > cap:
+        raise CapExceeded(f"|{spec.describe()}| >= 2^{rank} exceeds element_cap {cap}")
     # generators s, t with m(s, t) = m span a dihedral subgroup of order 2m
     largest = max(max(row) for row in matrix)
     if 2 * largest > cap:

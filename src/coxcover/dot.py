@@ -13,14 +13,14 @@ from .covering import CoveringInstance
 _SIDE_COLORS = {"right": "blue", "left": "red"}
 
 
-def covering_dot(instance: CoveringInstance, name: str = "covering") -> str:
+def covering_dot(instance: CoveringInstance) -> str:
     sys = instance.system
 
     def vertex_name(vid: int) -> str:
         p, r = instance.vertices[vid]
         return f"({sys.format_index(p)}|{sys.format_index(r)})"
 
-    lines = [f"graph {name} {{"]
+    lines = ["graph covering {"]
     for vid in range(len(instance.vertices)):
         lines.append(f'  "{vertex_name(vid)}";')
     for u, v, side, s in instance.edges:

@@ -7,11 +7,12 @@ the 6-cycles of a braid pair (order 3) and, in groups that have them, the
 2m-gons of pairs of order m >= 4 ("polygon" loops).
 
 Lifting such a loop through a covering instance permutes the fiber over its
-base point.  Lifts are read off the instance's lift table
-(`CoveringInstance.lift_table`), which `unique_lift_edge` fills once per
-in-class step, so a step shared by many loops is lifted once.  Squares and
-commuting loops always act trivially; braid loops act with order 1 or 2;
-polygon orders are measured and reported without asserting a bound.
+base point.  `loop_action` walks vertex ids through the instance's lift
+table (`CoveringInstance.lift_table`), which `unique_lift_edge` fills once
+per in-class step, so a step shared by many loops is lifted once; no other
+code walks the table.  Squares and commuting loops always act trivially;
+braid loops act with order 1 or 2; polygon orders are measured and
+reported without asserting a bound.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coxeter import CoxeterSystem, _permutation_order
-from .covering import CoveringInstance, Vertex, multiplicity_partition, unique_lift_edge
-from .errors import InvariantViolation, OrderViolation
+from .covering import CoveringInstance, multiplicity_partition
+from .errors import InvariantViolation, NotAClassEdge, OrderViolation
 from .gensets import one_based
 from .recoil import RecoilClass, recoil_class
 from .words import alternating
@@ -88,34 +89,13 @@ def relation_loops(sys: CoxeterSystem, cls: RecoilClass) -> list[Loop]:
     return loops
 
 
-def lift_path(instance: CoveringInstance, start: Vertex, word: tuple[int, ...]) -> list[Vertex]:
-    """The unique lift of a downstairs walk, read step by step off the
-    instance's lift table (`CoveringInstance.lift_table`), so every step
-    is the one `unique_lift_edge` decided.  Raises ValueError if `start` is
-    no vertex and NotAClassEdge if the walk leaves the target class."""
-    try:
-        vid = instance.id_of(start)
-    except KeyError:
-        raise ValueError(f"{start} is not a vertex of this instance") from None
-    lifts = instance.lift_table()
-    path = [start]
-    for s in word:
-        nxt = lifts[s][vid]
-        if nxt < 0:
-            # the step leaves the class; unique_lift_edge raises the error
-            # that names it
-            unique_lift_edge(instance.system, path[-1], s, instance.projection[vid])
-            raise InvariantViolation(f"the lift table refused an in-class step s{s + 1}")
-        vid = nxt
-        path.append(instance.vertices[vid])
-    return path
-
-
 def loop_action(instance: CoveringInstance, loop: Loop) -> FiberAction:
     """Permutation of the fiber over the loop's base induced by lifting the
     loop from every fiber point, walking vertex ids through the instance's
-    lift table.  One cycle walk (`_permutation_order`) checks that the ends
-    permute the fiber and gives the order."""
+    lift table; this is the library's only walk over the table.  A loop
+    that leaves the target class raises NotAClassEdge.  One cycle walk
+    (`_permutation_order`) checks that the ends permute the fiber and gives
+    the order."""
     base = loop.base
     fiber = instance.fibers.get(base)
     if fiber is None:
@@ -127,8 +107,11 @@ def loop_action(instance: CoveringInstance, loop: Loop) -> FiberAction:
         end = vid
         for row in rows:
             end = row[end]
-            if end < 0:  # the loop leaves the class: let lift_path say where
-                lift_path(instance, instance.vertices[vid], loop.word)
+            if end < 0:
+                word = " ".join(f"s{g + 1}" for g in loop.word)
+                raise NotAClassEdge(
+                    f"loop {word} at {instance.system.format_index(base)} leaves "
+                    f"the target class when lifted from {instance.vertices[vid]}")
         if projection[end] != base:
             raise InvariantViolation("lifted loop did not end over its base")
         permutation[vid] = end
@@ -145,8 +128,6 @@ class MonodromyReport:
     right: int
     target: int
     empty: bool
-    square_loops: int
-    commuting_loops: int
     braid_loops: int
     braid_orders: dict[int, int]      # order -> number of braid loops
     polygon_loops: int
@@ -211,7 +192,6 @@ def monodromy_report(instance: CoveringInstance) -> MonodromyReport:
     report = MonodromyReport(
         left=instance.left, right=instance.right, target=instance.target,
         empty=instance.is_empty,
-        square_loops=counts["square"], commuting_loops=counts["commuting"],
         braid_loops=counts["braid"], braid_orders=braid_orders,
         polygon_loops=counts["polygon"], polygon_orders=polygon_orders,
         no_braid_loops=no_braid,

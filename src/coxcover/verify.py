@@ -14,12 +14,13 @@ convolution oracle.  The covering axioms are one local-bijection test per
 vertex.  The lift dichotomy fills the instance's lift table, which lifts
 each in-class step once by `unique_lift_edge`, and checks every entry
 against a brute force that tries both refactorizations by multiplication
-and shares no code with `unique_lift_edge`; the monodromy check then walks
-its loops through that table, so no step is lifted twice.
-A monodromy violation raises from inside that sweep, before the algebra
-check has run, so it can pre-empt an error that check would raise; either
-way the CLI prints only the group header and one `invariant failure:`
-line, and exits 1.
+and shares no code with `unique_lift_edge`; the monodromy check then moves
+the fiber points along its loops through that table with `loop_action`, so
+no step is lifted twice.  `monodromy_report` raises on any monodromy
+violation, a braid loop of order above 2 included, from inside that sweep,
+before the algebra check has run, so it can pre-empt an error that check
+would raise; either way the CLI prints only the group header and one
+`invariant failure:` line, and exits 1.
 """
 
 from __future__ import annotations
@@ -213,12 +214,10 @@ def _check_lift_dichotomy(sys, inst, res: CheckResult,
 
 def _check_instance_monodromy(inst, res: CheckResult) -> None:
     """Lift every relation loop of the target class; `monodromy_report`
-    raises on any violation, and braid loops must act with order 1 or 2."""
+    raises on any violation, among them a braid loop acting with an order
+    other than 1 or 2."""
     res.checked += 1
-    report = monodromy_report(inst)
-    if report.braid_orders and not set(report.braid_orders) <= {1, 2}:
-        res.fail(f"braid order outside 1..2 at ({format_subset(inst.left)}, "
-                 f"{format_subset(inst.right)}, {format_subset(inst.target)})")
+    monodromy_report(inst)
 
 
 def _check_algebra(sys: CoxeterSystem, rng: random.Random,
@@ -257,11 +256,11 @@ def _check_monodromy(sys: CoxeterSystem, res: CheckResult) -> CheckResult:
     return res
 
 
-def run_invariant_sweep(sys: CoxeterSystem, seed: int = 0) -> list[CheckResult]:
+def run_invariant_sweep(sys: CoxeterSystem) -> list[CheckResult]:
     """All seven checks, in their printed order.  The covering, algebra and
     monodromy checks share one streamed pass over the covering instances,
     run inside `_check_coverings`."""
-    rng = random.Random(seed)
+    rng = random.Random(0)
     fiber_sizes: FiberSizes = {}
     monodromy = CheckResult("monodromy")
     return [

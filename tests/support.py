@@ -16,7 +16,7 @@ from coxcover.covering import unique_lift_edge
 from coxcover.coxeter import _permutation_order
 from coxcover.errors import InvariantViolation
 from coxcover.gensets import from_one_based
-from coxcover.monodromy import FiberAction, Loop, lift_path
+from coxcover.monodromy import FiberAction, Loop
 from coxcover.words import WordEngine
 
 
@@ -172,21 +172,14 @@ def braid_loop_exists_positional(sys, w: int, i: int) -> bool:
 
 def conjugate_action(instance, loop: Loop, path_word: tuple[int, ...]) -> FiberAction:
     """The action of the loop transported to the endpoint of a path: lift
-    the path backwards, run the loop, lift the path forwards.  Used to test
-    base-point independence."""
-    sys = instance.system
+    the path backwards, run the loop, lift the path forwards, one
+    `unique_lift_edge` call per step (`reference_loop_action` of the moved
+    loop).  Used to test base-point independence."""
     end = loop.base
     for s in path_word:
-        end = sys.right_cayley[end][s]
-    permutation: dict[int, int] = {}
-    for vid in instance.fibers[end]:
-        vertex = instance.vertices[vid]
-        back = lift_path(instance, vertex, tuple(reversed(path_word)))
-        looped = lift_path(instance, back[-1], loop.word)
-        forward = lift_path(instance, looped[-1], path_word)
-        permutation[vid] = instance.id_of(forward[-1])
+        end = instance.system.right_cayley[end][s]
     moved = Loop(end, tuple(reversed(path_word)) + loop.word + path_word, loop.kind)
-    return FiberAction(moved, permutation, _permutation_order(permutation))
+    return reference_loop_action(instance, moved)
 
 
 def reference_loop_action(instance, loop: Loop) -> FiberAction:
@@ -203,7 +196,7 @@ def reference_loop_action(instance, loop: Loop) -> FiberAction:
         for s in loop.word:
             current = unique_lift_edge(sys, current, s, sigma)
             sigma = sys.right_cayley[sigma][s]
-        end = instance.id_of(current)
+        end = instance.vertices.index(current)
         if instance.projection[end] != loop.base:
             raise InvariantViolation("lifted loop did not end over its base")
         permutation[vid] = end

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import coxcover
-from coxcover import cli, verify
+from coxcover import cli, coxeter, verify
 from coxcover.cli import main
 from coxcover.covering import CoveringReport
 from coxcover.errors import InvariantViolation
@@ -241,6 +241,26 @@ def test_cover_unwritable_dot_path_is_a_usage_error(tmp_path, capsys):
 
 def test_cap_exit_code(capsys):
     assert run_cli(capsys, "--cap", "100", "table", "--group", "S9")[0] == 3
+
+
+def test_rank_over_the_cap_exits_3_before_any_root_work(tmp_path, capsys, monkeypatch):
+    # |W| >= 2^rank: twenty commuting generators have 2^20 > 200000 elements
+    rank = 20
+    path = tmp_path / "commuting.json"
+    path.write_text(json.dumps(
+        {"m": [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]}))
+
+    def refuse(spec):
+        raise AssertionError("the rank alone must refuse this group")
+
+    monkeypatch.setattr(coxeter, "_simple_roots", refuse)
+    start = time.perf_counter()
+    code = main(["verify", "--group", f"matrix:{path}"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == \
+        "error: |matrix(rank=20)| >= 2^20 exceeds element_cap 200000\n"
 
 
 def test_cap_flag_overrides_matrix_file(tmp_path, capsys):

@@ -5,8 +5,10 @@ import dataclasses
 import pytest
 
 from coxcover import (
+    FiberInconstant,
     NotAClassEdge,
     build_fibered_graph,
+    covering,
     covering_dot,
     iter_fibered_graphs,
     multiplicity_partition,
@@ -201,8 +203,8 @@ def test_left_moves_with_nonsimple_conjugate_are_not_edges(s5):
     pi = perm_index(s5, "41352")
     pi2 = perm_index(s5, "43152")
     rho = perm_index(s5, "15243")
-    u = inst.id_of((pi, rho))
-    v = inst.id_of((pi2, rho))
+    u = inst.vertices.index((pi, rho))
+    v = inst.vertices.index((pi2, rho))
     assert v not in inst.adjacency[u]
 
 
@@ -258,7 +260,7 @@ def test_lift_dichotomy_brute_force(s4):
                         vertex = unique_lift_edge(s4, (p, r), s, sigma)
                         assert lift_side(s4, (p, r), vertex) == \
                             (("right", s) if right_ok else ("left", conj))
-                        assert inst.id_of(vertex) >= 0  # KeyError if not a vertex
+                        assert vertex in inst.vertices
 
 
 @pytest.mark.parametrize("group", ["s4", "i6", "b3"])
@@ -296,7 +298,7 @@ def test_lift_table_holds_the_unique_lifts(s4, i6, b3, h3):
                             if same_class_edge_index(sys_, sigma, s):
                                 in_class += 1
                                 lifted = unique_lift_edge(sys_, vertex, s, sigma)
-                                assert lifts[s][vid] == inst.id_of(lifted)
+                                assert lifts[s][vid] == inst.vertices.index(lifted)
                             else:
                                 assert lifts[s][vid] == -1
         assert in_class > 0
@@ -312,6 +314,17 @@ def test_fiber_constancy_and_counting(s5):
                 assert all(len(f) == inst.fiber_size for f in inst.fibers.values())
                 total += inst.fiber_size * sizes[target]
             assert total == sizes[left] * sizes[right]
+
+
+def test_wire_refuses_a_fiber_of_another_size(s5):
+    # one scan bucket with a vertex dropped: its fiber is one short
+    inst = build_fibered_graph(s5, subset(2, 3), subset(3, 4), subset(1, 3))
+    assert len(inst.target_class.members) >= 2 and inst.fiber_size >= 1
+    classes = (inst.left_class, inst.right_class, inst.target_class)
+    rewired = covering._wire(s5, *classes, list(inst.vertices), list(inst.projection))
+    assert rewired == inst
+    with pytest.raises(FiberInconstant, match="component fiber counts"):
+        covering._wire(s5, *classes, inst.vertices[:-1], inst.projection[:-1])
 
 
 def test_cycle_rank():

@@ -122,20 +122,29 @@ def test_element_cap():
     assert len(build_system(CoxeterSpec.symmetric(4, element_cap=24))) == 24
 
 
+def _refusal_peak(spec: CoxeterSpec, message: str) -> int:
+    """Peak traced memory of a build that must raise CapExceeded."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=message):
+            build_system(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_cap_refusal_stops_at_the_cap():
-    # 32 commuting generators: 529 elements up to length 2, then 4960 of
-    # length 3; a refusal at cap 600 must not build that whole level first
+    # 32 commuting generators: |W| = 2^32, refused by the rank alone before
+    # any root or element is built
     rank = 32
     matrix = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
     spec = CoxeterSpec.from_matrix(matrix, element_cap=600)
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapExceeded, match="more than 600 elements"):
-            build_system(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5e6
+    assert _refusal_peak(spec, r"^\|matrix\(rank=32\)\| >= 2\^32 exceeds element_cap 600$") < 1.5e6
+    # S8 as a rank-7 matrix (2^7 <= 300): 285 elements up to length 4, then
+    # 343 of length 5; a refusal at cap 300 must not build that whole level
+    # first (doing so peaks near 2.1e5 bytes)
+    spec = CoxeterSpec.from_matrix(chain(3, 3, 3, 3, 3, 3), element_cap=300)
+    assert _refusal_peak(spec, "more than 300 elements") < 1.75e5
     # the condition is unchanged: exactly |W| = 2^rank still builds
     cube = [row[:10] for row in matrix[:10]]
     assert len(build_system(CoxeterSpec.from_matrix(cube, element_cap=1024))) == 1024

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import pytest
@@ -9,14 +10,13 @@ from coxcover import (
     build_fibered_graph,
     component_isomorphisms,
     iter_fibered_graphs,
-    lift_path,
     loop_action,
     monodromy_report,
     recoil_class,
     relation_loops,
     unique_lift_edge,
 )
-from coxcover.errors import InvariantViolation, NotAClassEdge
+from coxcover.errors import InvariantViolation, NotAClassEdge, OrderViolation
 from coxcover.gensets import iter_subsets
 
 from .support import (
@@ -85,61 +85,59 @@ def test_loop_prefixes_stay_inside_class(s4, s5, i6, b3, h3):
 
 
 def test_lift_path_squares_and_commuting_return(s4):
+    # every step of a square or commuting loop, walked through the lift
+    # table, lies over the downstairs walk, and the walk comes back
     inst = build_fibered_graph(s4, subset(1), subset(3), subset(1, 3))
     cls = recoil_class(s4, subset(1, 3))
+    lifts = inst.lift_table()
     for loop in relation_loops(s4, cls):
         for vid in inst.fibers[loop.base]:
-            path = lift_path(inst, inst.vertices[vid], loop.word)
-            assert path[-1] == inst.vertices[vid]
-            downstairs = loop.base
-            for step, g in enumerate(loop.word):
+            end, downstairs = vid, loop.base
+            for g in loop.word:
+                end = lifts[g][end]
                 downstairs = s4.right_cayley[downstairs][g]
-                p, r = path[step + 1]
-                assert s4.multiply_index(p, r) == downstairs
+                assert s4.multiply_index(*inst.vertices[end]) == downstairs
+            assert end == vid
 
 
 def test_lift_path_rejects_leaving_class(s4):
     inst = build_fibered_graph(s4, subset(1), subset(3), subset(1))
     start = inst.vertices[0]
-    with pytest.raises(NotAClassEdge):
-        lift_path(inst, start, (0,))  # a step by s1 exits the target class
-    with pytest.raises(ValueError):
-        lift_path(inst, (0, 0), ())
-    # out-of-range coordinates whose key p*|W| + r is that of a real vertex
-    p, r = start
-    order = len(s4.elements)
-    for fake in ((p - 1, r + order), (p + 1, r - order)):
-        with pytest.raises(ValueError):
-            lift_path(inst, fake, ())
+    loop = Loop(inst.projection[0], (0, 0), "square")  # a step by s1 exits the target class
+    # the witness names the loop word and the fiber point it was lifted from
+    witness = r"^loop s1 s1 at \S+ leaves the target class when lifted from "
+    with pytest.raises(NotAClassEdge, match=witness + re.escape(str(start)) + "$"):
+        loop_action(inst, loop)
 
 
 @pytest.mark.parametrize("group", ["s4", "i6"])
 def test_lift_path_two_steps_matches_multiplied_lifts(group, request):
-    # every two-letter walk from every vertex: the lift equals two lifts that
-    # multiply their products out, and a walk whose second step leaves the
-    # target class is refused
+    # every two-letter walk from every vertex: two steps through the lift
+    # table equal two lifts that multiply their products out, and a second
+    # step that leaves the target class reads -1
     sys_ = request.getfixturevalue(group)
     refused = 0
     for left in iter_subsets(sys_.rank):
         for right in iter_subsets(sys_.rank):
             for _, inst in iter_fibered_graphs(sys_, left, right):
+                lifts = inst.lift_table()
                 for vid, start in enumerate(inst.vertices):
                     sigma = inst.projection[vid]
                     for s1 in range(sys_.rank):
                         mid = sys_.right_cayley[sigma][s1]
                         if sys_.recoils[mid] != sys_.recoils[sigma]:
                             continue
+                        first = unique_lift_edge(sys_, start, s1,
+                                                 sys_.multiply_index(*start))
+                        assert inst.vertices[lifts[s1][vid]] == first
                         for s2 in range(sys_.rank):
                             if sys_.recoils[sys_.right_cayley[mid][s2]] != sys_.recoils[mid]:
                                 refused += 1
-                                with pytest.raises(NotAClassEdge):
-                                    lift_path(inst, start, (s1, s2))
+                                assert lifts[s2][lifts[s1][vid]] == -1
                                 continue
-                            first = unique_lift_edge(sys_, start, s1,
-                                                     sys_.multiply_index(*start))
                             second = unique_lift_edge(sys_, first, s2,
                                                       sys_.multiply_index(*first))
-                            assert lift_path(inst, start, (s1, s2)) == [start, first, second]
+                            assert inst.vertices[lifts[s2][lifts[s1][vid]]] == second
     assert refused > 0
 
 
@@ -154,11 +152,14 @@ def test_reference_braid_loop_swaps_fiber(s5):
     a, b = fiber
     assert action.permutation == {a: b, b: a}
     # one traversal moves each point to the other; twice returns it
-    start = inst.vertices[a]
-    once = lift_path(inst, start, loop.word)
-    assert once[-1] == inst.vertices[b]
-    twice = lift_path(inst, once[-1], loop.word)
-    assert twice[-1] == start
+    lifts = inst.lift_table()
+    end = a
+    for g in loop.word:
+        end = lifts[g][end]
+    assert end == b
+    for g in loop.word:
+        end = lifts[g][end]
+    assert end == a
 
 
 @pytest.mark.parametrize("group", ["s4", "b3", "h3"])
@@ -236,6 +237,19 @@ def test_monodromy_report_flagship(s5):
     }
 
 
+def test_monodromy_report_refuses_a_square_that_swaps_fiber_points(s5):
+    inst = build_fibered_graph(s5, *FLAGSHIP)
+    loop = next(l for l in relation_loops(s5, inst.target_class) if l.kind == "square")
+    a, b = inst.fibers[loop.base]
+    s = loop.word[0]
+    lifts = inst.lift_table()
+    # send the way back of each point's square to the other point
+    lifts[s][lifts[s][a]], lifts[s][lifts[s][b]] = b, a
+    assert loop_action(inst, loop).permutation == {a: b, b: a}
+    with pytest.raises(OrderViolation, match="^square loop at .* acted with order 2$"):
+        monodromy_report(inst)
+
+
 def test_monodromy_report_no_braid_classes(s4):
     for target in (0, subset(1), subset(2), subset(1, 2), subset(2, 3)):
         inst = build_fibered_graph(s4, subset(2), subset(3), target)
@@ -265,8 +279,8 @@ def test_base_point_independence(s5):
     assert moved.order == direct.order == 2
     transport = {}
     for vid in inst.fibers[base]:
-        lifted = lift_path(inst, inst.vertices[vid], (3,))
-        transport[vid] = inst.id_of(lifted[-1])
+        lifted = unique_lift_edge(s5, inst.vertices[vid], 3, inst.projection[vid])
+        transport[vid] = inst.vertices.index(lifted)
     conjugated = {
         transport[v]: transport[direct.permutation[v]] for v in direct.permutation}
     assert conjugated == moved.permutation
