@@ -21,7 +21,7 @@ and Moebius transforms of the subset lattice.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .coxeter import CoxeterSystem
 from .covering import iter_fibered_graphs, multiplicity_partition
@@ -30,8 +30,7 @@ from .gensets import format_subset, iter_subsets, one_based
 from .recoil import recoil_class
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(NamedTuple):
     """Integer combination of basis elements indexed by generator subsets.
 
     `basis` is "Y" (class sums) or "X" (subset-accumulated sums).  Zero
@@ -134,8 +133,7 @@ def y_from_x(elem: AlgebraElement) -> AlgebraElement:
     return AlgebraElement.make("Y", _superset_transform(elem.as_dict(), +1))
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     left: tuple[int, ...]    # serialized subsets, 1-based ascending
     right: tuple[int, ...]
     target: tuple[int, ...]
@@ -154,11 +152,13 @@ class TableRow:
         }
 
 
-@dataclass
 class StructureTable:
-    group: str
-    rank: int
-    rows: list[TableRow] = field(default_factory=list)
+    __slots__ = ("group", "rank", "rows")
+
+    def __init__(self, group: str, rank: int, rows: list[TableRow] | None = None):
+        self.group = group
+        self.rank = rank
+        self.rows = [] if rows is None else rows
 
     def to_json(self) -> dict:
         return {

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys as _sys
-from dataclasses import replace
 
 from .algebra import expansion_rows, StructureTable
 from .coxeter import CoxeterSpec, CoxeterSystem, DEFAULT_ELEMENT_CAP, build_system
@@ -65,7 +64,7 @@ def parse_group(text: str, cap: int | None) -> CoxeterSpec:
         rank = data.get("rank")
         if rank is not None and (type(rank) is not int or rank != spec.rank):
             raise UsageError(f"declared rank {rank!r} does not match the matrix")
-        return spec if cap is None else replace(spec, element_cap=cap)
+        return spec if cap is None else spec._replace(element_cap=cap)
     raise UsageError(f"cannot parse group {text!r} (expected S<n>, I<m> or matrix:<path>)")
 
 

@@ -37,8 +37,7 @@ sweep checks the table against a brute force that does not call
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .coxeter import CoxeterSystem
 from .errors import FiberInconstant, InvariantViolation, NotAClassEdge
@@ -48,28 +47,42 @@ from .recoil import RecoilClass, recoil_class, simple_conjugate
 Vertex = tuple[int, int]  # (element index in left class, element index in right class)
 
 
-@dataclass
 class CoveringInstance:
-    left: int
-    right: int
-    target: int
-    system: CoxeterSystem = field(repr=False)
-    left_class: RecoilClass = field(repr=False)
-    right_class: RecoilClass = field(repr=False)
-    target_class: RecoilClass = field(repr=False)
-    vertices: list[Vertex]                    # sorted pairs of element indices
-    id_by_key: dict[int, int] = field(repr=False)  # pi*|W| + rho -> vertex id
-    projection: list[int]                     # vertex id -> element index of the product
-    edges: list[tuple[int, int, str, int]]    # (u, v, side, generator), u < v
-    adjacency: list[list[int]] = field(repr=False)  # vertex id -> neighbour ids
-    fibers: dict[int, list[int]]              # target element -> vertex ids
-    component: list[int]                      # vertex id -> component id
-    degrees: list[int]                        # component id -> covering degree
-    fiber_size: int                           # the structure constant
-    # generator -> vertex id -> id of the lift of that step, or -1 when the
-    # step leaves the target class; filled by `lift_table` on first use
-    lifts: list[list[int]] | None = field(default=None, init=False,
-                                           compare=False, repr=False)
+    """One instance (I, J, K): its vertices, edges, fibers and components.
+
+    Every field but `lifts` is set once, by `_wire`; `lifts` is filled by
+    `lift_table` on first use."""
+
+    __slots__ = ("left", "right", "target", "system", "left_class", "right_class",
+                 "target_class", "vertices", "id_by_key", "projection", "edges",
+                 "adjacency", "fibers", "component", "degrees", "fiber_size", "lifts")
+
+    def __init__(self, left: int, right: int, target: int, system: CoxeterSystem,
+                 left_class: RecoilClass, right_class: RecoilClass,
+                 target_class: RecoilClass, vertices: list[Vertex],
+                 id_by_key: dict[int, int], projection: list[int],
+                 edges: list[tuple[int, int, str, int]], adjacency: list[list[int]],
+                 fibers: dict[int, list[int]], component: list[int],
+                 degrees: list[int], fiber_size: int):
+        self.left = left
+        self.right = right
+        self.target = target
+        self.system = system
+        self.left_class = left_class
+        self.right_class = right_class
+        self.target_class = target_class
+        self.vertices = vertices        # sorted pairs of element indices
+        self.id_by_key = id_by_key      # pi*|W| + rho -> vertex id
+        self.projection = projection    # vertex id -> element index of the product
+        self.edges = edges              # (u, v, side, generator), u < v
+        self.adjacency = adjacency      # vertex id -> neighbour ids
+        self.fibers = fibers            # target element -> vertex ids
+        self.component = component      # vertex id -> component id
+        self.degrees = degrees          # component id -> covering degree
+        self.fiber_size = fiber_size    # the structure constant
+        # generator -> vertex id -> id of the lift of that step, or -1 when
+        # the step leaves the target class
+        self.lifts: list[list[int]] | None = None
 
     @property
     def is_empty(self) -> bool:
@@ -229,7 +242,7 @@ def _wire(sys: CoxeterSystem, cls_l: RecoilClass, cls_r: RecoilClass,
                     component[v] = n_comp
                     stack.append(v)
         n_comp += 1
-    degrees = _component_degrees(component, n_comp, fibers, cls_t,
+    degrees = _component_degrees(sys, component, n_comp, fibers, cls_t,
                                  left, right, target)
     fiber_size = sum(degrees)
 
@@ -242,7 +255,7 @@ def _wire(sys: CoxeterSystem, cls_l: RecoilClass, cls_r: RecoilClass,
     )
 
 
-def _component_degrees(component: list[int], n_comp: int,
+def _component_degrees(sys: CoxeterSystem, component: list[int], n_comp: int,
                        fibers: dict[int, list[int]], cls_t: RecoilClass,
                        left: int, right: int, target: int) -> list[int]:
     """Per-component fiber count at a base point, verified constant over
@@ -259,8 +272,9 @@ def _component_degrees(component: list[int], n_comp: int,
             counts[component[vid]] += 1
         if counts != degrees:
             raise FiberInconstant(
-                f"component fiber counts {counts} at {t} differ from {degrees} "
-                f"at {base} in the ({format_subset(left)}, {format_subset(right)}, "
+                f"component fiber counts {counts} at {sys.format_index(t)} differ "
+                f"from {degrees} at {sys.format_index(base)} in the "
+                f"({format_subset(left)}, {format_subset(right)}, "
                 f"{format_subset(target)}) instance"
             )
     return degrees
@@ -272,8 +286,7 @@ def multiplicity_partition(instance: CoveringInstance) -> tuple[int, ...]:
     return tuple(sorted(instance.degrees, reverse=True))
 
 
-@dataclass
-class CoveringReport:
+class CoveringReport(NamedTuple):
     status: str                 # "ok" | "empty" | "failed"
     surjective: bool | None
     edges_preserved: bool | None

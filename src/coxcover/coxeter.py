@@ -11,6 +11,15 @@ Conventions, fixed once and used everywhere:
   right multiplication by the generator with 0-based index ``s`` swaps
   positions s+1 and s+2 of the one-line form, and left multiplication
   swaps the values s+1 and s+2.
+- The S_n tables are built without forming a product.  `permutations`
+  yields S_n in lex order, and the factorial-base digits of a lex rank are
+  the Lehmer code of its permutation.  Right multiplication by s changes
+  only the digits s and s+1, so the rank of w*s is the rank of w plus an
+  offset read off those two digits; mapping ranks through the length sort
+  gives `right_cayley`.  Inverses are looked up from the one-line forms,
+  and s*w = (w^-1 * s)^-1 gives `left_cayley`.  Recoils are read from
+  `left_cayley` and descents from `right_cayley`, each on its own, so
+  that `verify` comparing them through `inverse_index` tests the tables.
 - Dihedral and matrix-defined groups store each element as its
   lexicographically least reduced word.  They are enumerated in the
   geometric (Tits) representation: the bilinear form
@@ -47,23 +56,23 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CapExceeded, InvalidSpec, InvariantViolation
 
 DEFAULT_ELEMENT_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class CoxeterSpec:
+class CoxeterSpec(NamedTuple):
     """Description of a finite Coxeter group to enumerate.
 
     kind is one of "symmetric", "dihedral", "matrix".  For dihedral groups
     `order` is the order m of the product of the two generators (the group
     has 2m elements).  Matrix entries give the orders m(s, t) as ints; 0 is
     reserved for infinite order and makes the build raise CapExceeded.
+    A spec is immutable; `spec._replace(element_cap=c)` gives a copy with
+    another cap.
     """
 
     kind: str
@@ -213,13 +222,14 @@ class CoxeterSystem:
     # -- construction helpers ------------------------------------------------
 
     def _mask_table(self, cayley: list[list[int]]) -> list[int]:
-        masks = []
-        for i, row in enumerate(cayley):
-            mask = 0
-            for s in range(self.rank):
-                if self.lengths[row[s]] < self.lengths[i]:
-                    mask |= 1 << s
-            masks.append(mask)
+        """Bit s of entry w set when len(cayley[w][s]) < len(w), one
+        generator column at a time."""
+        lengths = self.lengths
+        masks = [0] * len(cayley)
+        for s, column in enumerate(zip(*cayley)):
+            bit = 1 << s
+            masks = [m | bit if lengths[v] < length else m
+                     for m, v, length in zip(masks, column, lengths)]
         return masks
 
     def _find_longest(self) -> int:
@@ -284,22 +294,44 @@ def _build_symmetric(spec: CoxeterSpec) -> CoxeterSystem:
     inversions = [0]
     for k in range(2, n + 1):
         inversions = [d + x for d in range(k) for x in inversions]
-    order = sorted(range(len(lex)), key=inversions.__getitem__)
+    order = sorted(range(size), key=inversions.__getitem__)
     elements = [lex[k] for k in order]
-    del lex, inversions, order
-    index = {p: i for i, p in enumerate(elements)}
-    right = [[index[p[:s] + (p[s + 1], p[s]) + p[s + 2:]] for s in range(n - 1)]
-             for p in elements]
+    del lex, inversions
+    index_of_rank = [0] * size
+    for i, k in enumerate(order):
+        index_of_rank[k] = i
+    # The digits of lex rank k are the Lehmer code c_0..c_{n-1} of its
+    # permutation (c_j counts the later entries below entry j), weighted by
+    # f_j = (n-1-j)!.  Right multiplication by s swaps entries s and s+1
+    # (0-based) and changes only a = c_s and b = c_{s+1}: to (b+1, a) when
+    # a <= b, else to (b, a-1).  The rank thus moves by an offset of (a, b)
+    # alone, and over consecutive ranks the offsets repeat with period
+    # (n-s)!: b holds each value for f_{s+1} ranks, a for f_s ranks.
+    right_columns = []
+    for s in range(n - 1):
+        fa, fb = math.factorial(n - 1 - s), math.factorial(n - 2 - s)
+        offsets: list[int] = []
+        for a in range(n - s):
+            for b in range(n - s - 1):
+                offsets += [(b - a) * (fa - fb) + (fa if a <= b else -fb)] * fb
+        offsets *= size // len(offsets)
+        right_columns.append([index_of_rank[k + offsets[k]] for k in order])
+    index = dict(zip(elements, range(size)))
     inverse = [index[_invert_oneline(p)] for p in elements]
     # s*w = (w^-1 * s)^-1
-    left = [[inverse[j] for j in right[inverse[i]]] for i in range(len(elements))]
+    left_columns = [[inverse[column[j]] for j in inverse] for column in right_columns]
+    # S1 has no generator, so no column, and one empty row
+    right = [list(row) for row in zip(*right_columns)] or [[]]
+    left = [list(row) for row in zip(*left_columns)] or [[]]
     # indices ascend with length, so s is a recoil of w exactly when s*w has
     # the smaller index; the lex-least reduced word starts with the smallest
     # recoil and continues with the word of s*w, already built
     words: list[tuple[int, ...]] = [()]
-    for i in range(1, len(elements)):
+    for i in range(1, size):
         row = left[i]
-        s = next(s for s in range(n - 1) if row[s] < i)
+        s = 0
+        while row[s] > i:
+            s += 1
         words.append((s,) + words[row[s]])
     return CoxeterSystem(spec, elements, words, left, right, inverse)
 

@@ -17,7 +17,7 @@ reported without asserting a bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coxeter import CoxeterSystem, _permutation_order
 from .covering import CoveringInstance, multiplicity_partition
@@ -27,8 +27,7 @@ from .recoil import RecoilClass, recoil_class
 from .words import alternating
 
 
-@dataclass(frozen=True)
-class Loop:
+class Loop(NamedTuple):
     """A closed walk inside one recoil class, as a generator word from a
     base element.  Every prefix of the word must stay in the class."""
 
@@ -37,8 +36,7 @@ class Loop:
     kind: str                 # "square" | "commuting" | "braid" | "polygon"
 
 
-@dataclass
-class FiberAction:
+class FiberAction(NamedTuple):
     loop: Loop
     permutation: dict[int, int]   # vertex id -> vertex id, over the base fiber
     order: int
@@ -122,8 +120,7 @@ def loop_action(instance: CoveringInstance, loop: Loop) -> FiberAction:
     return FiberAction(loop, permutation, order)
 
 
-@dataclass
-class MonodromyReport:
+class MonodromyReport(NamedTuple):
     left: int
     right: int
     target: int

@@ -12,21 +12,22 @@ facts rather than construction inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coxeter import CoxeterSystem
 from .errors import InvariantViolation
 from .gensets import complement, format_subset
 
 
-@dataclass
 class RecoilClass:
-    subset: int
-    members: list[int]                       # element indices, ascending
-    edges: list[tuple[int, int, int]]        # (u, v, s) with u < v
-    adjacency: dict[int, list[tuple[int, int]]]  # element -> [(neighbor, s)]
-    alpha: int                               # weak-order minimum (element index)
-    beta: int                                # weak-order maximum (element index)
+    __slots__ = ("subset", "members", "edges", "adjacency", "alpha", "beta")
+
+    def __init__(self, subset: int, members: list[int], edges: list[tuple[int, int, int]],
+                 adjacency: dict[int, list[tuple[int, int]]], alpha: int, beta: int):
+        self.subset = subset
+        self.members = members        # element indices, ascending
+        self.edges = edges            # (u, v, s) with u < v
+        self.adjacency = adjacency    # element -> [(neighbor, s)]
+        self.alpha = alpha            # weak-order minimum (element index)
+        self.beta = beta              # weak-order maximum (element index)
 
     def __len__(self) -> int:
         return len(self.members)

@@ -26,7 +26,6 @@ would raise; either way the CLI prints only the group header and one
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .algebra import AlgebraElement, convolution_oracle, x_from_y, y_from_x
 from .coxeter import CoxeterSystem, positional_recoils
@@ -51,11 +50,13 @@ from .recoil import (
 FiberSizes = dict[tuple[int, int], dict[int, int]]  # (I, J) -> {K: structure constant}
 
 
-@dataclass
 class CheckResult:
-    name: str
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
+    __slots__ = ("name", "checked", "failures")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checked = 0
+        self.failures: list[str] = []
 
     @property
     def ok(self) -> bool:

@@ -2,8 +2,8 @@
 never touches the library's tables, and reference code for theorems the
 tests check (a union-find for components, cycle ranks of class graphs, the
 positional braid criterion, loop actions lifted one step at a time,
-base-point independence of loop actions), and the algebra product, which
-only the tests use."""
+base-point independence of loop actions), the S_n tables built by swapping
+one-line entries, and the algebra product, which only the tests use."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ from itertools import permutations
 from typing import Iterable, Sequence
 
 from coxcover.algebra import AlgebraElement, product_expand, x_from_y, y_from_x
-from coxcover.covering import unique_lift_edge
-from coxcover.coxeter import _permutation_order
+from coxcover.covering import CoveringInstance, unique_lift_edge
+from coxcover.coxeter import _invert_oneline, _permutation_order
 from coxcover.errors import InvariantViolation
 from coxcover.gensets import from_one_based
 from coxcover.monodromy import FiberAction, Loop
@@ -65,6 +65,41 @@ def oracle_class_edges(n: int, recoils: tuple[int, ...]) -> list[tuple]:
 
 def oracle_inversions(p: tuple[int, ...]) -> int:
     return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
+
+
+def reference_symmetric_tables(n: int) -> dict[str, object]:
+    """The tables of S_n, named as `CoxeterSystem` names them, built one
+    product at a time: w*s by swapping entries s and s+1 of the one-line
+    form and looking the result up in a dict, inverses by
+    `_invert_oneline`, s*w = (w^-1 * s)^-1, and each recoil and descent bit
+    by comparing lengths.  No Lehmer digits involved."""
+    elements = sorted(permutations(range(1, n + 1)), key=oracle_inversions)  # stable
+    index = {p: i for i, p in enumerate(elements)}
+    right = [[index[p[:s] + (p[s + 1], p[s]) + p[s + 2:]] for s in range(n - 1)]
+             for p in elements]
+    inverse = [index[_invert_oneline(p)] for p in elements]
+    left = [[inverse[j] for j in right[inverse[i]]] for i in range(len(elements))]
+    words: list[tuple[int, ...]] = [()]
+    for i in range(1, len(elements)):
+        row = left[i]
+        s = next(s for s in range(n - 1) if row[s] < i)
+        words.append((s,) + words[row[s]])
+    lengths = [len(w) for w in words]
+
+    def masks(cayley):
+        return [sum(1 << s for s, v in enumerate(row) if lengths[v] < lengths[i])
+                for i, row in enumerate(cayley)]
+
+    return {"elements": elements, "right_cayley": right, "left_cayley": left,
+            "inverse_index": inverse, "words": words, "recoils": masks(left),
+            "descents": masks(right), "longest_index": lengths.index(max(lengths))}
+
+
+def instance_fields(instance: CoveringInstance) -> dict[str, object]:
+    """Every field of a covering instance but its `lifts` cache, by name;
+    two instances with equal fields describe the same covering."""
+    return {name: getattr(instance, name)
+            for name in CoveringInstance.__slots__ if name != "lifts"}
 
 
 def reference_words(matrix) -> tuple[list[tuple[int, ...]], list[list[int]]]:

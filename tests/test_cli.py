@@ -345,6 +345,23 @@ def test_module_entry_point():
         (): 1, (2,): 1, (1, 2): 1}
 
 
+def test_cli_import_loads_no_dataclasses():
+    # every CLI call pays for its imports; -S keeps site packages out, so
+    # none of them can load these modules first and hide a regression
+    probe = "import sys, coxcover.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    proc = subprocess.run([_sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, env=MODULE_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    proc = subprocess.run(
+        [_sys.executable, "-S", "-m", "coxcover", "cover", "--group", "S4", "--left", "1",
+         "--right", "3", "--target", "1,3", "--format", "json"],
+        capture_output=True, text=True, env=MODULE_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"I": [1], "J": [3], "K": [1, 3], "a": 1,
+                                       "lambda": [1], "components": 1, "vertices": 5}
+
+
 def test_reader_closing_stdout_early_is_quiet():
     # the S5 text table is 84 KB, more than a 64 KiB pipe holds, so the
     # program is still writing when the reader goes away, as with `| head -1`

@@ -1,10 +1,9 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from coxcover import (
+    CoveringInstance,
     FiberInconstant,
     NotAClassEdge,
     build_fibered_graph,
@@ -20,8 +19,8 @@ from coxcover.gensets import iter_subsets
 from coxcover.recoil import conjugated_generator, same_class_edge_index
 
 from .support import (
-    UnionFind, class_cycle_rank, compose, cycle_rank, lift_side, oracle_class,
-    oracle_class_edges, perm, perm_index, subset)
+    UnionFind, class_cycle_rank, compose, cycle_rank, instance_fields, lift_side,
+    oracle_class, oracle_class_edges, perm, perm_index, subset)
 
 
 def test_s4_instance_1_3_13(s4):
@@ -104,7 +103,7 @@ def _rewired(inst, edges):
     for u, v, _, _ in edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
-    return dataclasses.replace(inst, edges=edges, adjacency=adjacency)
+    return CoveringInstance(**{**instance_fields(inst), "edges": edges, "adjacency": adjacency})
 
 
 def test_covering_axioms_fail_on_a_dropped_edge(s4):
@@ -322,9 +321,13 @@ def test_wire_refuses_a_fiber_of_another_size(s5):
     assert len(inst.target_class.members) >= 2 and inst.fiber_size >= 1
     classes = (inst.left_class, inst.right_class, inst.target_class)
     rewired = covering._wire(s5, *classes, list(inst.vertices), list(inst.projection))
-    assert rewired == inst
-    with pytest.raises(FiberInconstant, match="component fiber counts"):
+    assert instance_fields(rewired) == instance_fields(inst)
+    # the short fiber sits over 21453, the base point is the class minimum 21435
+    witness = ("component fiber counts [1] at 21453 differ from [2] at 21435 "
+               "in the ({2,3}, {3,4}, {1,3}) instance")
+    with pytest.raises(FiberInconstant) as raised:
         covering._wire(s5, *classes, inst.vertices[:-1], inst.projection[:-1])
+    assert str(raised.value) == witness
 
 
 def test_cycle_rank():

@@ -22,7 +22,8 @@ from coxcover.words import WordEngine
 
 from .conftest import A3_MATRIX, B3_MATRIX, H3_MATRIX
 from .support import (
-    compose, oracle_inversions, oracle_recoils, perm, perm_index, reference_words)
+    compose, oracle_inversions, oracle_recoils, perm, perm_index, reference_symmetric_tables,
+    reference_words)
 
 A2_AFFINE_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "groups" / "A2_affine.json"
 
@@ -84,6 +85,15 @@ def test_symmetric_enumeration_order_and_left_table(n):
         for s in range(n - 1):
             swapped = tuple(s + 2 if v == s + 1 else s + 1 if v == s + 2 else v for v in p)
             assert system.elements[system.left_cayley[i][s]] == swapped
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_symmetric_tables_match_the_swap_construction(n):
+    # the build reads products off Lehmer digits; the reference swaps
+    # one-line entries and looks every product up
+    system = build_system(CoxeterSpec.symmetric(n))
+    for name, table in reference_symmetric_tables(n).items():
+        assert getattr(system, name) == table, name
 
 
 def test_enumeration_breadth_first_lex(s4, b3):
