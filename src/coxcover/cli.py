@@ -8,6 +8,13 @@ the empty set, and s/t alias 1/2 for dihedral groups.
 Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 element cap
 exceeded, 141 (128 + SIGPIPE) when the reader closes stdout early, as in
 `coxcover table --group S6 | head`.
+
+A process ends in `run`: it flushes stdout, then stderr, and leaves
+through `os._exit`, skipping interpreter finalization (freeing the Cayley
+tables and caches one object at a time); atexit handlers registered by
+other code therefore do not run.  Under a tracer or profiler (a debugger,
+coverage, `python -m cProfile`) `run` returns the exit code instead, so
+they can write their results at exit.  `main` never exits the process.
 """
 
 from __future__ import annotations
@@ -240,13 +247,51 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invariant failure: {exc}", file=_sys.stderr)
         return EXIT_INVARIANT
     except BrokenPipeError:
-        # the reader is gone; send what is still buffered to /dev/null so
-        # the flush at exit does not fail a second time
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, _sys.stdout.fileno())
-        os.close(devnull)
+        _discard_stdout()
         return EXIT_BROKEN_PIPE
 
 
+def _discard_stdout() -> None:
+    """The reader is gone: point fd 1 at /dev/null, so that flushing what
+    is still buffered does not fail a second time."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, _sys.stdout.fileno())
+    os.close(devnull)
+
+
+def _observed() -> bool:
+    """True when a tracer or profiler is attached; it writes its results
+    at exit, so the process must end normally."""
+    if _sys.gettrace() is not None or _sys.getprofile() is not None:
+        return True
+    # from Python 3.12 cProfile registers through sys.monitoring, and
+    # sys.getprofile() stays None
+    monitoring = getattr(_sys, "monitoring", None)
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6))
+
+
+def run(argv: list[str] | None = None) -> int:
+    """Process entry point: `main`, then flush stdout and stderr and end
+    the process with `os._exit`, without finalization.  A reader that left
+    before the last flush gives exit 141, quietly.  Returns the code
+    instead when a tracer or profiler is attached, or when flushing stdout
+    failed otherwise (the interpreter's exit then reports the error)."""
+    code = main(argv)
+    try:
+        if _sys.stdout is not None:
+            _sys.stdout.flush()
+    except BrokenPipeError:
+        _discard_stdout()
+        code = EXIT_BROKEN_PIPE
+    except OSError:
+        return code
+    if _sys.stderr is not None:
+        _sys.stderr.flush()
+    if _observed():
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

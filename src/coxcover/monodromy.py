@@ -42,47 +42,40 @@ class FiberAction(NamedTuple):
     order: int
 
 
-def _polygon_vertices(sys: CoxeterSystem, start: int, s: int, t: int,
-                      length: int) -> list[int] | None:
-    """Walk the alternating word; None as soon as the walk leaves the class."""
-    subset = sys.recoils[start]
-    walk = [start]
-    current = start
-    for g in alternating(s, t, length):
-        current = sys.right_cayley[current][g]
-        if sys.recoils[current] != subset:
-            return None
-        walk.append(current)
-    return walk
-
-
 def relation_loops(sys: CoxeterSystem, cls: RecoilClass) -> list[Loop]:
     """All relation loops lying inside the class, each emitted once.
 
     Squares are based at the smaller end of their edge.  Cycles of a
     generator pair are based at their smallest element and traversed in the
     rotation that starts with the smaller generator; the reverse rotation
-    is the inverse loop and is not repeated.  Cached on the system.
+    is the inverse loop and is not repeated.  Each pair's alternating word
+    is built once per class; from every member it is walked through
+    `right_cayley`, stopping at the first step that leaves the class or
+    drops below the member, so only walks based at their minimum are
+    completed.  Cached on the system.
     """
     cached = sys._loop_cache.get(cls.subset)
     if cached is not None:
         return cached  # type: ignore[return-value]
     loops = [Loop(u, (s, s), "square") for u, _, s in cls.edges]
-    pairs = [
-        (s, t, sys.matrix[s][t])
+    words = [
+        (alternating(s, t, 2 * m), "commuting" if m == 2 else "braid" if m == 3 else "polygon")
         for s in range(sys.rank)
         for t in range(s + 1, sys.rank)
-        if sys.matrix[s][t] >= 2
+        if (m := sys.matrix[s][t]) >= 2
     ]
+    right, recoils, subset = sys.right_cayley, sys.recoils, cls.subset
     for base in cls.members:
-        for s, t, m in pairs:
-            walk = _polygon_vertices(sys, base, s, t, 2 * m)
-            if walk is None or min(walk) != base:
-                continue
-            if walk[-1] != base:
-                raise InvariantViolation("alternating walk did not close")
-            kind = "commuting" if m == 2 else "braid" if m == 3 else "polygon"
-            loops.append(Loop(base, alternating(s, t, 2 * m), kind))
+        for word, kind in words:
+            current = base
+            for g in word:
+                current = right[current][g]
+                if current < base or recoils[current] != subset:
+                    break
+            else:
+                if current != base:
+                    raise InvariantViolation("alternating walk did not close")
+                loops.append(Loop(base, word, kind))
     sys._loop_cache[cls.subset] = loops
     return loops
 

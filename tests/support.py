@@ -1,7 +1,8 @@
 """Shared test utilities, including a from-scratch permutation oracle that
 never touches the library's tables, and reference code for theorems the
 tests check (a union-find for components, cycle ranks of class graphs, the
-positional braid criterion, loop actions lifted one step at a time,
+positional braid criterion, relation loops found one walk at a time,
+loop actions lifted one step at a time,
 base-point independence of loop actions), the S_n tables built by swapping
 one-line entries, and the algebra product, which only the tests use."""
 
@@ -17,7 +18,7 @@ from coxcover.coxeter import _invert_oneline, _permutation_order
 from coxcover.errors import InvariantViolation
 from coxcover.gensets import from_one_based
 from coxcover.monodromy import FiberAction, Loop
-from coxcover.words import WordEngine
+from coxcover.words import WordEngine, alternating
 
 
 def subset(*one_based: int) -> int:
@@ -203,6 +204,31 @@ def braid_loop_exists_positional(sys, w: int, i: int) -> bool:
     p = sys.elements[w]
     a, b, c = p[i], p[i + 1], p[i + 2]
     return abs(a - b) >= 2 and abs(b - c) >= 2 and abs(a - c) >= 2
+
+
+def reference_relation_loops(sys, cls) -> list[Loop]:
+    """`relation_loops` without its cache or shared words: from every member
+    and for every generator pair, build the alternating word afresh, record
+    the whole walk and stop only when it leaves the class; keep the walks
+    whose smallest element is their base."""
+    loops = [Loop(u, (s, s), "square") for u, _, s in cls.edges]
+    pairs = [(s, t, sys.matrix[s][t]) for s in range(sys.rank)
+             for t in range(s + 1, sys.rank) if sys.matrix[s][t] >= 2]
+    for base in cls.members:
+        for s, t, m in pairs:
+            walk = [base]
+            for g in alternating(s, t, 2 * m):
+                walk.append(sys.right_cayley[walk[-1]][g])
+                if sys.recoils[walk[-1]] != sys.recoils[base]:
+                    break
+            else:
+                if min(walk) != base:
+                    continue
+                if walk[-1] != base:
+                    raise InvariantViolation("alternating walk did not close")
+                kind = "commuting" if m == 2 else "braid" if m == 3 else "polygon"
+                loops.append(Loop(base, alternating(s, t, 2 * m), kind))
+    return loops
 
 
 def conjugate_action(instance, loop: Loop, path_word: tuple[int, ...]) -> FiberAction:

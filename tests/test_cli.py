@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import pstats
 import subprocess
 import sys as _sys
 import time
@@ -11,8 +12,10 @@ import pytest
 import coxcover
 from coxcover import cli, coxeter, verify
 from coxcover.cli import main
-from coxcover.covering import CoveringReport
+from coxcover.covering import CoveringReport, build_fibered_graph
+from coxcover.dot import covering_dot
 from coxcover.errors import InvariantViolation
+from coxcover.gensets import from_one_based
 
 B3_JSON = {"rank": 3, "m": [[1, 4, 2], [4, 1, 3], [2, 3, 1]], "element_cap": 200000}
 
@@ -22,6 +25,12 @@ B3_JSON = {"rank": 3, "m": [[1, 4, 2], [4, 1, 3], [2, 3, 1]], "element_cap": 200
 MODULE_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [os.path.dirname(os.path.dirname(coxcover.__file__)),
                   os.environ.get("PYTHONPATH")]))}
+
+
+# the same, with stdout block-buffered as it is for most callers: a pipe or
+# a file then receives the output only at the final flush
+BUFFERED_ENV = {k: v for k, v in MODULE_ENV.items() if k != "PYTHONUNBUFFERED"}
+COVER_S4 = ["cover", "--group", "S4", "--left", "1", "--right", "3", "--target", "1,3"]
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -377,3 +386,108 @@ def test_reader_closing_stdout_early_is_quiet():
         proc.kill()
         proc.wait()
     assert "Traceback" not in err and "Exception" not in err
+
+
+def test_reader_gone_before_the_final_flush_is_quiet():
+    # the whole output is still in the buffer when main returns; the pipe's
+    # read end is closed before the process starts, so that flush fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [_sys.executable, "-m", "coxcover", *COVER_S4, "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=BUFFERED_ENV, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_at_the_final_flush_is_reported():
+    # any other write error at the last flush is left to the interpreter's
+    # exit, which reports it and exits 120
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([_sys.executable, "-m", "coxcover", *COVER_S4],
+                              stdout=full, stderr=subprocess.PIPE, env=BUFFERED_ENV,
+                              timeout=60)
+    assert proc.returncode == 120
+    assert b"No space left on device" in proc.stderr
+
+
+def test_piped_output_survives_the_hard_exit(capsys):
+    # 84 KB of text, flushed in full before the process skips finalization
+    assert main(["table", "--group", "S5"]) == 0
+    expected = capsys.readouterr().out.encode()
+    assert len(expected) > 80_000
+    proc = subprocess.run([_sys.executable, "-m", "coxcover", "table", "--group", "S5"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=BUFFERED_ENV, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == expected
+
+
+def test_dot_file_survives_the_hard_exit(tmp_path, s4):
+    dot_file = tmp_path / "z.dot"
+    proc = subprocess.run(
+        [_sys.executable, "-m", "coxcover", *COVER_S4, "--dot", str(dot_file)],
+        capture_output=True, env=BUFFERED_ENV, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    inst = build_fibered_graph(s4, *(from_one_based(k) for k in ((1,), (3,), (1, 3))))
+    assert dot_file.read_text(encoding="utf-8") == covering_dot(inst)
+
+
+# exit 1 needs a failing check, so its child patches one and then runs
+# the package's __main__ as `python -m coxcover` does
+_FAILING_COVER = """
+import runpy, sys
+from coxcover import cli
+from coxcover.covering import CoveringReport
+cli.verify_covering = lambda inst: CoveringReport("failed", True, True, False, ["witness"])
+sys.argv[0] = "coxcover"
+runpy.run_module("coxcover", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["-c", _FAILING_COVER, *COVER_S4, "--format", "json"], 1,
+     "invariant failure: covering axioms failed: witness"),
+    (["-m", "coxcover", "table", "--group", "X4"], 2, "error: cannot parse group"),
+    (["-m", "coxcover", "cover", "--group", "matrix:{a2}", "--left", "1", "--right", "2",
+      "--target", "1"], 3, "error: the bilinear form of matrix(rank=3) is not positive"),
+], ids=["invariant", "usage", "cap"])
+def test_exit_codes_survive_the_hard_exit(tmp_path, argv, code, err):
+    a2 = tmp_path / "A2_affine.json"
+    a2.write_text(json.dumps({"rank": 3, "m": [[1, 3, 3], [3, 1, 3], [3, 3, 1]],
+                              "element_cap": 1000}))
+    proc = subprocess.run([_sys.executable, *(a.format(a2=a2) for a in argv)],
+                          capture_output=True, text=True, env=BUFFERED_ENV, timeout=60)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(err) and proc.stderr.count("\n") == 1
+
+
+def test_profiler_output_is_written(tmp_path):
+    # cProfile writes its file at exit, so under a profiler `run` returns
+    stats_file = tmp_path / "cover.prof"
+    proc = subprocess.run(
+        [_sys.executable, "-m", "cProfile", "-o", str(stats_file), "-m", "coxcover", *COVER_S4],
+        capture_output=True, text=True, env=BUFFERED_ENV, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("covering axioms: ok\n")
+    stats = pstats.Stats(str(stats_file))
+    assert any(name == "run" and path.endswith("cli.py") for path, _, name in stats.stats)
+
+
+def test_run_returns_under_a_tracer(capsys, monkeypatch):
+    def no_exit(code):
+        raise AssertionError(f"os._exit({code}) under a tracer")
+
+    monkeypatch.setattr(os, "_exit", no_exit)
+    previous = _sys.gettrace()
+    _sys.settrace(lambda frame, event, arg: None)
+    try:
+        code = cli.run(COVER_S4)
+    finally:
+        _sys.settrace(previous)
+    assert code == 0
+    assert capsys.readouterr().out.endswith("covering axioms: ok\n")

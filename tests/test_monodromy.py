@@ -6,8 +6,10 @@ from collections import Counter
 import pytest
 
 from coxcover import (
+    CoxeterSpec,
     Loop,
     build_fibered_graph,
+    build_system,
     component_isomorphisms,
     iter_fibered_graphs,
     loop_action,
@@ -18,10 +20,11 @@ from coxcover import (
 )
 from coxcover.errors import InvariantViolation, NotAClassEdge, OrderViolation
 from coxcover.gensets import iter_subsets
+from coxcover.recoil import RecoilClass
 
 from .support import (
     braid_loop_exists_positional, conjugate_action, perm, perm_index,
-    reference_loop_action, subset)
+    reference_loop_action, reference_relation_loops, subset)
 
 FLAGSHIP = (subset(2, 3), subset(3, 4), subset(1, 3))
 
@@ -82,6 +85,60 @@ def test_loop_prefixes_stay_inside_class(s4, s5, i6, b3, h3):
                     current = sys_.right_cayley[current][g]
                     assert sys_.recoils[current] == target
                 assert current == loop.base
+
+
+D4_MATRIX = [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]]
+
+
+# loop kinds over all classes of each group (H3 alone has a polygon loop)
+LOOP_KINDS = {
+    "s4": {"square": 18, "commuting": 2},
+    "s5": {"square": 144, "commuting": 36, "braid": 6},
+    "i6": {"square": 8},
+    "b3": {"square": 48, "commuting": 6, "braid": 2},
+    "h3": {"square": 144, "commuting": 20, "braid": 10, "polygon": 2},
+    "d4": {"square": 256, "commuting": 72, "braid": 18},
+}
+
+
+@pytest.mark.parametrize("group", sorted(LOOP_KINDS))
+def test_relation_loops_match_the_reference_walk(group, request):
+    # same loops, same order, same kinds as walking every pair's word
+    # afresh from every member to its end
+    if group == "d4":
+        sys_ = build_system(CoxeterSpec.from_matrix(D4_MATRIX))
+    else:
+        sys_ = request.getfixturevalue(group)
+    kinds = Counter()
+    for target in iter_subsets(sys_.rank):
+        cls = recoil_class(sys_, target)
+        loops = relation_loops(sys_, cls)
+        assert loops == reference_relation_loops(sys_, cls)
+        kinds.update(l.kind for l in loops)
+    assert kinds == LOOP_KINDS[group]
+
+
+class _OpenWalkSystem:
+    """Two commuting generators whose Cayley table sends the alternating
+    walk from 0 through 1, 2 and 3 to 1 instead of back to 0, all in one
+    class: the table of no group."""
+
+    rank = 2
+    matrix = [[1, 2], [2, 1]]
+    right_cayley = [[1, 3], [0, 2], [3, 1], [2, 1]]
+    recoils = [0, 0, 0, 0]
+
+    def __init__(self):
+        self._loop_cache = {}
+
+
+def test_alternating_walk_that_does_not_close_is_refused():
+    sys_ = _OpenWalkSystem()
+    cls = RecoilClass(0, [0], [], {}, 0, 0)
+    with pytest.raises(InvariantViolation, match="^alternating walk did not close$"):
+        relation_loops(sys_, cls)
+    with pytest.raises(InvariantViolation, match="^alternating walk did not close$"):
+        reference_relation_loops(sys_, cls)
 
 
 def test_lift_path_squares_and_commuting_return(s4):
