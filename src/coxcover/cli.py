@@ -48,11 +48,15 @@ def parse_group(text: str, cap: int | None) -> CoxeterSpec:
     cap_value = DEFAULT_ELEMENT_CAP if cap is None else cap
     # ASCII digits only: str.isdigit also accepts superscripts, which int() refuses
     number = text[1:]
-    if number.isascii() and number.isdigit():
+    if text[:1] in ("S", "I") and number.isascii() and number.isdigit():
+        try:
+            value = int(number)
+        # int() refuses more digits than sys.get_int_max_str_digits()
+        except ValueError as exc:
+            raise UsageError(f"cannot read the parameter of group {text[0]}: {exc}") from None
         if text[0] == "S":
-            return CoxeterSpec.symmetric(int(number), element_cap=cap_value)
-        if text[0] == "I":
-            return CoxeterSpec.dihedral(int(number), element_cap=cap_value)
+            return CoxeterSpec.symmetric(value, element_cap=cap_value)
+        return CoxeterSpec.dihedral(value, element_cap=cap_value)
     if text.startswith("matrix:"):
         path = text[len("matrix:"):]
         try:
@@ -234,10 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_USAGE
-    except InvalidSpec as exc:
+    except (UsageError, InvalidSpec) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
     except CapExceeded as exc:

@@ -6,9 +6,9 @@ pi*rho in the class of K.  Edges come from the product graph: exactly one
 coordinate moves along an edge of its own class, both endpoints must be
 vertices, and the two products must sit one Cayley step apart (automatic
 for right moves; a real restriction for left moves, whose product shift is
-a conjugate that need not be simple).  Each edge is tagged with the
-coordinate that moved ("left" or "right") and the generator of that class
-edge.
+a conjugate that need not be simple).  An edge is the pair of its
+endpoints' vertex ids: the coordinate that moved and the generator it
+moved by are read off the two endpoints.
 
 `build_fibered_graph` builds one instance (I, J, K) from a scan of the
 product filtered on K.  `iter_fibered_graphs` builds every non-empty
@@ -61,7 +61,7 @@ class CoveringInstance:
                  left_class: RecoilClass, right_class: RecoilClass,
                  target_class: RecoilClass, vertices: list[Vertex],
                  id_by_key: dict[int, int], projection: list[int],
-                 edges: list[tuple[int, int, str, int]], adjacency: list[list[int]],
+                 edges: list[tuple[int, int]], adjacency: list[list[int]],
                  fibers: dict[int, list[int]], component: list[int],
                  degrees: list[int], fiber_size: int):
         self.left = left
@@ -74,7 +74,7 @@ class CoveringInstance:
         self.vertices = vertices        # sorted pairs of element indices
         self.id_by_key = id_by_key      # pi*|W| + rho -> vertex id
         self.projection = projection    # vertex id -> element index of the product
-        self.edges = edges              # (u, v, side, generator), u < v
+        self.edges = edges              # (u, v) with u < v, ascending
         self.adjacency = adjacency      # vertex id -> neighbour ids
         self.fibers = fibers            # target element -> vertex ids
         self.component = component      # vertex id -> component id
@@ -200,26 +200,27 @@ def _wire(sys: CoxeterSystem, cls_l: RecoilClass, cls_r: RecoilClass,
     adj_l, adj_r = cls_l.adjacency, cls_r.adjacency
 
     # vertex ids ascend with the pairs, so a move reaches a larger id exactly
-    # when the moved coordinate grows; each edge is found from its smaller end
-    edges: list[tuple[int, int, str, int]] = []
+    # when the moved coordinate grows.  Each edge is found from its smaller
+    # end, in (u, v) order: class adjacency lists ascend, and u's right moves
+    # keep pi, so they precede its left moves.
+    edges: list[tuple[int, int]] = []
     for u, (p, r) in enumerate(vertices):
         base = p * order
-        for r2, s in adj_r[r]:
+        for r2 in adj_r[r]:
             if r2 > r:
                 v = get(base + r2)
                 if v is not None:
-                    edges.append((u, v, "right", s))
-        for p2, s in adj_l[p]:
+                    edges.append((u, v))
+        for p2 in adj_l[p]:
             if p2 > p:
                 v = get(p2 * order + r)
                 # a left move shifts the product by rho^-1 s rho, which need
                 # not be simple; only moves whose projection is a Cayley
                 # step are edges, or the projection could not preserve them
                 if v is not None and projection[v] in right_cayley[projection[u]]:
-                    edges.append((u, v, "left", s))
-    edges.sort()  # no two edges share (u, v), so this orders them by (u, v)
+                    edges.append((u, v))
     adjacency: list[list[int]] = [[] for _ in vertices]
-    for u, v, _, _ in edges:
+    for u, v in edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
 
@@ -331,9 +332,7 @@ def verify_covering(instance: CoveringInstance) -> CoveringReport:
         violations.append(f"no vertex projects onto {sys.format_index(missed[0])}")
 
     projection, vertices = instance.projection, instance.vertices
-    # class adjacency lists ascend (recoil_class builds them from sorted edges)
-    class_nbrs = {t: [b for b, _ in nbrs]
-                  for t, nbrs in instance.target_class.adjacency.items()}
+    class_nbrs = instance.target_class.adjacency  # each list ascends
     bad_edges: list[str] = []
     bad_lifts: list[str] = []
     for u, nbrs in enumerate(instance.adjacency):

@@ -213,7 +213,7 @@ def component_isomorphisms(instance: CoveringInstance) -> bool:
     comp_edges = [0] * n_comp
     for vid in range(len(instance.vertices)):
         comp_vertices[instance.component[vid]] += 1
-    for u, v, _, _ in instance.edges:
+    for u, v in instance.edges:
         if instance.component[u] != instance.component[v]:
             return False
         comp_edges[instance.component[u]] += 1

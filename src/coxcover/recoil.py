@@ -21,11 +21,11 @@ class RecoilClass:
     __slots__ = ("subset", "members", "edges", "adjacency", "alpha", "beta")
 
     def __init__(self, subset: int, members: list[int], edges: list[tuple[int, int, int]],
-                 adjacency: dict[int, list[tuple[int, int]]], alpha: int, beta: int):
+                 adjacency: dict[int, list[int]], alpha: int, beta: int):
         self.subset = subset
         self.members = members        # element indices, ascending
         self.edges = edges            # (u, v, s) with u < v
-        self.adjacency = adjacency    # element -> [(neighbor, s)]
+        self.adjacency = adjacency    # element -> neighbour indices, ascending
         self.alpha = alpha            # weak-order minimum (element index)
         self.beta = beta              # weak-order maximum (element index)
 
@@ -51,10 +51,10 @@ def recoil_class(sys: CoxeterSystem, subset: int) -> RecoilClass:
             if u < v and sys.recoils[v] == subset:
                 edges.append((u, v, s))
     edges.sort()
-    adjacency: dict[int, list[tuple[int, int]]] = {u: [] for u in members}
-    for u, v, s in edges:
-        adjacency[u].append((v, s))
-        adjacency[v].append((u, s))
+    adjacency: dict[int, list[int]] = {u: [] for u in members}
+    for u, v, _ in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
     # element indices ascend with (length, form), so the unique shortest and
     # longest members sit at the ends; uniqueness is part of the theorem
     if len(members) > 1:

@@ -131,7 +131,7 @@ def _check_classes(sys: CoxeterSystem) -> CheckResult:
         reached = {cls.alpha}
         stack = [cls.alpha]
         while stack:
-            for v, _ in cls.adjacency[stack.pop()]:
+            for v in cls.adjacency[stack.pop()]:
                 if v not in reached:
                     reached.add(v)
                     stack.append(v)

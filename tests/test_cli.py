@@ -228,6 +228,9 @@ def test_usage_errors(capsys):
         # str.isdigit accepts superscript digits, which int() refuses
         ("verify", "--group", "S\u00b3"),
         ("table", "--group", "I\u00b2"),
+        # more digits than int() converts by default (4300)
+        ("table", "--group", "S" + "9" * 5000),
+        ("table", "--group", "I" + "9" * 5000),
     ):
         code = main(list(argv))
         captured = capsys.readouterr()
@@ -374,17 +377,18 @@ def test_cli_import_loads_no_dataclasses():
 def test_reader_closing_stdout_early_is_quiet():
     # the S5 text table is 84 KB, more than a 64 KiB pipe holds, so the
     # program is still writing when the reader goes away, as with `| head -1`
-    proc = subprocess.Popen(
-        [_sys.executable, "-m", "coxcover", "table", "--group", "S5"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=MODULE_ENV)
-    try:
-        assert proc.stdout.readline() == b"Y_{} * Y_{} = Y_{}\n"
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        assert proc.wait(timeout=60) == 141
-    finally:
-        proc.kill()
-        proc.wait()
+    # leaving the with block closes both pipes and reaps the process
+    with subprocess.Popen(
+            [_sys.executable, "-m", "coxcover", "table", "--group", "S5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+            env=MODULE_ENV) as proc:
+        try:
+            assert proc.stdout.readline() == b"Y_{} * Y_{} = Y_{}\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 141
+        finally:
+            proc.kill()
     assert "Traceback" not in err and "Exception" not in err
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from coxcover import (
@@ -51,7 +53,8 @@ def test_empty_left_subset_gives_copy_of_right_class(s4, i6):
             assert len(inst.vertices) == len(cls.members)
             assert inst.fiber_size == 1
             assert len(inst.edges) == len(cls.edges)
-            assert all(side == "right" for _, _, side, _ in inst.edges)
+            # every edge moves the right coordinate: pi is unchanged
+            assert all(inst.vertices[u][0] == inst.vertices[v][0] for u, v in inst.edges)
 
 
 def test_empty_instance(s4):
@@ -100,7 +103,7 @@ def _rewired(inst, edges):
     rebuilt to match them."""
     edges = sorted(edges)
     adjacency = [[] for _ in inst.vertices]
-    for u, v, _, _ in edges:
+    for u, v in edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
     return CoveringInstance(**{**instance_fields(inst), "edges": edges, "adjacency": adjacency})
@@ -108,7 +111,7 @@ def _rewired(inst, edges):
 
 def test_covering_axioms_fail_on_a_dropped_edge(s4):
     inst = build_fibered_graph(s4, subset(1), subset(3), subset(1, 3))
-    u, v, _, _ = dropped = inst.edges[0]
+    u, v = dropped = inst.edges[0]
     report = verify_covering(_rewired(inst, [e for e in inst.edges if e != dropped]))
     assert report.status == "failed"
     assert (report.surjective, report.edges_preserved, report.unique_lifting) == \
@@ -121,7 +124,7 @@ def test_covering_axioms_fail_on_a_dropped_edge(s4):
 
 def test_covering_axioms_fail_on_a_duplicated_neighbour(s4):
     inst = build_fibered_graph(s4, subset(1), subset(3), subset(1, 3))
-    u, v, _, _ = inst.edges[0]
+    u, v = inst.edges[0]
     report = verify_covering(_rewired(inst, inst.edges + [inst.edges[0]]))
     assert report.status == "failed"
     assert (report.surjective, report.edges_preserved, report.unique_lifting) == \
@@ -137,8 +140,8 @@ def test_covering_axioms_fail_on_an_edge_over_a_non_edge(s4):
     u, v = next((u, v) for u in range(len(inst.vertices))
                 for v in range(u + 1, len(inst.vertices))
                 if inst.projection[u] != inst.projection[v]
-                and all(b != inst.projection[v] for b, _ in cls.adjacency[inst.projection[u]]))
-    report = verify_covering(_rewired(inst, inst.edges + [(u, v, "right", 0)]))
+                and inst.projection[v] not in cls.adjacency[inst.projection[u]])
+    report = verify_covering(_rewired(inst, inst.edges + [(u, v)]))
     assert report.status == "failed"
     assert (report.surjective, report.edges_preserved, report.unique_lifting) == \
         (True, False, True)
@@ -184,9 +187,10 @@ def test_one_pass_rejects_subsets_outside_rank(s4, monkeypatch):
 def test_edges_move_one_coordinate_and_project_to_edges(s5):
     inst = build_fibered_graph(s5, subset(2, 3), subset(3, 4), subset(1, 3))
     members = set(recoil_class(s5, subset(1, 3)).members)
-    for u, v, side, s in inst.edges:
+    for u, v in inst.edges:
         pu, ru = inst.vertices[u]
         pv, rv = inst.vertices[v]
+        side, s = lift_side(s5, (pu, ru), (pv, rv))
         if side == "right":
             assert pu == pv and s5.right_cayley[ru][s] == rv
         else:
@@ -342,7 +346,7 @@ def test_components_match_union_find(s4, i6, b3, h3):
             for right in iter_subsets(sys_.rank):
                 for _, inst in iter_fibered_graphs(sys_, left, right):
                     uf = UnionFind(len(inst.vertices))
-                    for u, v, _, _ in inst.edges:
+                    for u, v in inst.edges:
                         uf.union(u, v)
                     component = uf.component_ids(range(len(inst.vertices)))
                     assert inst.component == component
@@ -389,3 +393,48 @@ def test_covering_dot_export(s4):
     assert dot.count('"(') >= 5
     assert dot.count("color=blue") == 3
     assert dot.count("color=red") == 2
+
+
+_DOT_EDGE = re.compile(r'  "([^"]+)" -- "([^"]+)" \[color=(\w+), label="(\d+)"\];')
+_SIDE_COLORS = {"right": "blue", "left": "red"}
+
+
+@pytest.mark.parametrize("group", ["s4", "i6", "b3"])
+def test_dot_colour_and_label_follow_the_moved_coordinate(group, request):
+    # the colour and label are read off an edge's endpoints; lift_side reads
+    # the moved coordinate and its generator off them independently
+    sys_ = request.getfixturevalue(group)
+    colors = {"blue": 0, "red": 0}
+    for left in iter_subsets(sys_.rank):
+        for right in iter_subsets(sys_.rank):
+            for _, inst in iter_fibered_graphs(sys_, left, right):
+                ids = {f"({sys_.format_index(p)}|{sys_.format_index(r)})": vid
+                       for vid, (p, r) in enumerate(inst.vertices)}
+                lines = covering_dot(inst).splitlines()
+                edge_lines = [m.groups() for line in lines if (m := _DOT_EDGE.fullmatch(line))]
+                assert len(lines) == 2 + len(inst.vertices) + len(edge_lines)
+                assert [(ids[a], ids[b]) for a, b, _, _ in edge_lines] == inst.edges
+                for a, b, color, label in edge_lines:
+                    side, s = lift_side(sys_, inst.vertices[ids[a]], inst.vertices[ids[b]])
+                    assert (color, label) == (_SIDE_COLORS[side], str(s + 1))
+                    colors[color] += 1
+    assert colors["blue"] > 0 and colors["red"] > 0
+
+
+def _ascending(items) -> bool:
+    return all(a < b for a, b in zip(items, items[1:]))
+
+
+@pytest.mark.parametrize("group", ["s4", "s5", "i6", "b3", "h3"])
+def test_edges_and_adjacency_lists_ascend(group, request):
+    # `_wire` relies on this order instead of sorting its edges
+    sys_ = request.getfixturevalue(group)
+    for mask in iter_subsets(sys_.rank):
+        cls = recoil_class(sys_, mask)
+        assert all(_ascending(cls.adjacency[m]) for m in cls.members)
+    for left in iter_subsets(sys_.rank):
+        for right in iter_subsets(sys_.rank):
+            for _, inst in iter_fibered_graphs(sys_, left, right):
+                assert all(u < v for u, v in inst.edges)
+                assert _ascending(inst.edges)
+                assert all(_ascending(nbrs) for nbrs in inst.adjacency)
