@@ -90,27 +90,35 @@ def _subset(text: str, rank: int) -> int:
         raise UsageError(str(exc)) from None
 
 
+def _instance(args):
+    """The instance that --group, --left, --right and --target name."""
+    system = _build(args)
+    left, right, target = (_subset(text, system.rank)
+                           for text in (args.left, args.right, args.target))
+    return build_fibered_graph(system, left, right, target)
+
+
+def _braced(numbers: tuple[int, ...]) -> str:
+    """A serialized (1-based) subset as text: (1, 3) -> "{1,3}"."""
+    return "{%s}" % ",".join(map(str, numbers))
+
+
 def _format_expansion(rows) -> str:
     if not rows:
         return "0"
     terms = []
     for row in rows:
         head = "" if row.constant == 1 else f"{row.constant} "
-        terms.append("%sY_{%s}" % (head, ",".join(str(i) for i in row.target)))
+        terms.append(f"{head}Y_{_braced(row.target)}")
     return " + ".join(terms)
 
 
 def cmd_table(args) -> int:
     system = _build(args)
     rank = system.rank
-    if args.left is None:
-        lefts = sorted(iter_subsets(rank), key=one_based)
-    else:
-        lefts = [_subset(args.left, rank)]
-    if args.right is None:
-        rights = sorted(iter_subsets(rank), key=one_based)
-    else:
-        rights = [_subset(args.right, rank)]
+    every = sorted(iter_subsets(rank), key=one_based)
+    lefts = every if args.left is None else [_subset(args.left, rank)]
+    rights = every if args.right is None else [_subset(args.right, rank)]
     products = [(left, right, expansion_rows(system, left, right))
                 for left in lefts for right in rights]
     if args.format == "json":
@@ -120,24 +128,16 @@ def cmd_table(args) -> int:
         print(json.dumps(data))
         return EXIT_OK
     for left, right, rows in products:
-        lhs = "Y_{%s} * Y_{%s}" % (
-            ",".join(str(i) for i in one_based(left)),
-            ",".join(str(i) for i in one_based(right)),
-        )
-        print(f"{lhs} = {_format_expansion(rows)}")
+        print(f"Y_{_braced(one_based(left))} * Y_{_braced(one_based(right))} = "
+              f"{_format_expansion(rows)}")
         for row in rows:
-            print(f"  K={format_subset(sum(1 << (i - 1) for i in row.target))} "
-                  f"a={row.constant} lambda={list(row.partition)} "
+            print(f"  K={_braced(row.target)} a={row.constant} lambda={list(row.partition)} "
                   f"components={row.components}")
     return EXIT_OK
 
 
 def cmd_cover(args) -> int:
-    system = _build(args)
-    left = _subset(args.left, system.rank)
-    right = _subset(args.right, system.rank)
-    target = _subset(args.target, system.rank)
-    inst = build_fibered_graph(system, left, right, target)
+    inst = _instance(args)
     report = verify_covering(inst)
     if args.dot:
         try:
@@ -153,9 +153,9 @@ def cmd_cover(args) -> int:
             return EXIT_INVARIANT
         return EXIT_OK
     parts = list(multiplicity_partition(inst))
-    print(f"Z(I={format_subset(left)} J={format_subset(right)} K={format_subset(target)}) "
-          f"vertices={len(inst.vertices)} components={inst.component_count} "
-          f"a={inst.fiber_size} lambda={parts}")
+    print(f"Z(I={format_subset(inst.left)} J={format_subset(inst.right)} "
+          f"K={format_subset(inst.target)}) vertices={len(inst.vertices)} "
+          f"components={inst.component_count} a={inst.fiber_size} lambda={parts}")
     if report.status == "empty":
         print("empty instance: no product lands in the target class")
     elif report.ok:
@@ -167,12 +167,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_monodromy(args) -> int:
-    system = _build(args)
-    left = _subset(args.left, system.rank)
-    right = _subset(args.right, system.rank)
-    target = _subset(args.target, system.rank)
-    inst = build_fibered_graph(system, left, right, target)
-    print(json.dumps(monodromy_report(inst).to_json()))
+    print(json.dumps(monodromy_report(_instance(args)).to_json()))
     return EXIT_OK
 
 

@@ -6,17 +6,17 @@ pi*rho in the class of K.  Edges come from the product graph: exactly one
 coordinate moves along an edge of its own class, both endpoints must be
 vertices, and the two products must sit one Cayley step apart (automatic
 for right moves; a real restriction for left moves, whose product shift is
-a conjugate that need not be simple).  An edge is the pair of its
-endpoints' vertex ids: the coordinate that moved and the generator it
-moved by are read off the two endpoints.
+a conjugate that need not be simple).  The graph is stored once, as
+ascending adjacency lists of vertex ids; `edges` reads (u, v) pairs off
+them, and an edge's moved coordinate and generator follow from u and v.
 
 `build_fibered_graph` builds one instance (I, J, K) from a scan of the
 product filtered on K.  `iter_fibered_graphs` builds every non-empty
 instance of (I, J) from a single scan, bucketed by the recoil set of each
-product; both hand their vertices to the same wiring step, so an instance
-is identical whichever way it was built.  That step labels the components
-by a search over the instance's adjacency lists and checks that every
-fiber splits the same way across them (FiberInconstant otherwise).
+product; both hand their vertices to the `CoveringInstance` constructor,
+so an instance is identical whichever way it was built.  It wires the
+adjacency, labels the components by a search over it and checks that
+every fiber splits the same way across them (FiberInconstant otherwise).
 
 The projection sends (pi, rho) to pi*rho.  Everything this package computes
 downstream rests on that projection being a graph covering of the target
@@ -48,41 +48,101 @@ Vertex = tuple[int, int]  # (element index in left class, element index in right
 
 
 class CoveringInstance:
-    """One instance (I, J, K): its vertices, edges, fibers and components.
-
-    Every field but `lifts` is set once, by `_wire`; `lifts` is filled by
-    `lift_table` on first use."""
+    """One instance (I, J, K): its vertices, adjacency, fibers and components,
+    wired from every pair of the product of cls_l and cls_r that lands in
+    cls_t, in scan order (ascending pairs), and the pairs' products.
+    Raises FiberInconstant unless every fiber splits the same way across
+    the components.  `lifts` is filled by `lift_table` on first use."""
 
     __slots__ = ("left", "right", "target", "system", "left_class", "right_class",
-                 "target_class", "vertices", "id_by_key", "projection", "edges",
-                 "adjacency", "fibers", "component", "degrees", "fiber_size", "lifts")
+                 "target_class", "vertices", "id_by_key", "projection", "adjacency",
+                 "fibers", "component", "degrees", "fiber_size", "lifts")
 
-    def __init__(self, left: int, right: int, target: int, system: CoxeterSystem,
-                 left_class: RecoilClass, right_class: RecoilClass,
-                 target_class: RecoilClass, vertices: list[Vertex],
-                 id_by_key: dict[int, int], projection: list[int],
-                 edges: list[tuple[int, int]], adjacency: list[list[int]],
-                 fibers: dict[int, list[int]], component: list[int],
-                 degrees: list[int], fiber_size: int):
-        self.left = left
-        self.right = right
-        self.target = target
-        self.system = system
-        self.left_class = left_class
-        self.right_class = right_class
-        self.target_class = target_class
+    def __init__(self, sys: CoxeterSystem, cls_l: RecoilClass, cls_r: RecoilClass,
+                 cls_t: RecoilClass, vertices: list[Vertex], projection: list[int]):
+        self.left, self.right, self.target = cls_l.subset, cls_r.subset, cls_t.subset
+        self.system = sys
+        self.left_class, self.right_class, self.target_class = cls_l, cls_r, cls_t
         self.vertices = vertices        # sorted pairs of element indices
-        self.id_by_key = id_by_key      # pi*|W| + rho -> vertex id
         self.projection = projection    # vertex id -> element index of the product
-        self.edges = edges              # (u, v) with u < v, ascending
-        self.adjacency = adjacency      # vertex id -> neighbour ids
-        self.fibers = fibers            # target element -> vertex ids
-        self.component = component      # vertex id -> component id
-        self.degrees = degrees          # component id -> covering degree
-        self.fiber_size = fiber_size    # the structure constant
+        order = len(sys.elements)
+        # pi*|W| + rho -> vertex id
+        self.id_by_key = id_by_key = {p * order + r: i for i, (p, r) in enumerate(vertices)}
+        get, right_cayley = id_by_key.get, sys.right_cayley
+        adj_l, adj_r = cls_l.adjacency, cls_r.adjacency
+
+        # vertex id -> neighbour ids.  Ids ascend with the pairs, so a move
+        # reaches a larger id exactly when the moved coordinate grows.  Each
+        # edge is found from its smaller end u and appended to both lists;
+        # they ascend, since u ascends, class adjacency lists ascend and u's
+        # right moves keep pi, so they precede its left moves.
+        self.adjacency = adjacency = [[] for _ in vertices]
+        for u, (p, r) in enumerate(vertices):
+            nbrs = adjacency[u]
+            base = p * order
+            for r2 in adj_r[r]:
+                if r2 > r:
+                    v = get(base + r2)
+                    if v is not None:
+                        nbrs.append(v)
+                        adjacency[v].append(u)
+            for p2 in adj_l[p]:
+                if p2 > p:
+                    v = get(p2 * order + r)
+                    # a left move shifts the product by rho^-1 s rho, which
+                    # need not be simple; only moves whose projection is a
+                    # Cayley step are edges, or the projection could not
+                    # preserve them
+                    if v is not None and projection[v] in right_cayley[projection[u]]:
+                        nbrs.append(v)
+                        adjacency[v].append(u)
+
+        # target element -> vertex ids
+        self.fibers = fibers = {t: [] for t in cls_t.members}
+        for vid, prod in enumerate(projection):
+            fibers[prod].append(vid)
+
+        # vertex id -> component id; searches start from ascending
+        # unlabelled vertices, so a component's id follows its smallest vertex
+        self.component = component = [-1] * len(vertices)
+        n_comp = 0
+        for root in range(len(vertices)):
+            if component[root] == -1:
+                component[root] = n_comp
+                stack = [root]
+                while stack:
+                    for v in adjacency[stack.pop()]:
+                        if component[v] == -1:
+                            component[v] = n_comp
+                            stack.append(v)
+                n_comp += 1
+
+        # component id -> covering degree: the fiber counts at the class
+        # minimum, verified constant over every point of the target class
+        degrees = None
+        for t in cls_t.members:
+            counts = [0] * n_comp
+            for vid in fibers[t]:
+                counts[component[vid]] += 1
+            if degrees is None:
+                degrees = counts
+            elif counts != degrees:
+                raise FiberInconstant(
+                    f"component fiber counts {counts} at {sys.format_index(t)} differ "
+                    f"from {degrees} at {sys.format_index(cls_t.alpha)} in the "
+                    f"({format_subset(self.left)}, {format_subset(self.right)}, "
+                    f"{format_subset(self.target)}) instance"
+                )
+        self.degrees = degrees
+        self.fiber_size = sum(degrees)  # the structure constant
         # generator -> vertex id -> id of the lift of that step, or -1 when
         # the step leaves the target class
         self.lifts: list[list[int]] | None = None
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """Every edge as (u, v), u < v, ascending, read off the adjacency."""
+        return [(u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v]
 
     @property
     def is_empty(self) -> bool:
@@ -133,8 +193,9 @@ class CoveringInstance:
 
 def build_fibered_graph(sys: CoxeterSystem, left: int, right: int,
                         target: int) -> CoveringInstance:
-    """Filter the full product of two classes on the product's recoil set,
-    then wire up edges, fibers, components and per-component degrees.
+    """Filter the full product of two classes on the product's recoil set;
+    the instance wires up its adjacency, fibers, components and
+    per-component degrees.
 
     An empty instance (structure constant 0) is valid data, not an error.
     """
@@ -150,7 +211,7 @@ def build_fibered_graph(sys: CoxeterSystem, left: int, right: int,
             if sys.recoils[prod] == target:
                 vertices.append((p, r))
                 projection.append(prod)
-    return _wire(sys, cls_l, cls_r, cls_t, vertices, projection)
+    return CoveringInstance(sys, cls_l, cls_r, cls_t, vertices, projection)
 
 
 def iter_fibered_graphs(sys: CoxeterSystem, left: int,
@@ -180,105 +241,8 @@ def iter_fibered_graphs(sys: CoxeterSystem, left: int,
             bucket[1].append(prod)
     for target in sorted(buckets):
         vertices, projection = buckets.pop(target)
-        yield target, _wire(sys, cls_l, cls_r, recoil_class(sys, target),
-                            vertices, projection)
-
-
-def _wire(sys: CoxeterSystem, cls_l: RecoilClass, cls_r: RecoilClass,
-          cls_t: RecoilClass, vertices: list[Vertex],
-          projection: list[int]) -> CoveringInstance:
-    """Edges, fibers, components and per-component degrees over the given
-    vertices, which must be every pair of the product of the classes cls_l
-    and cls_r that lands in cls_t, in scan order (ascending pairs), with
-    their products.  Raises FiberInconstant unless every fiber splits the
-    same way across the components, so in particular has the same size."""
-    left, right, target = cls_l.subset, cls_r.subset, cls_t.subset
-    order = len(sys.elements)
-    id_by_key = {p * order + r: i for i, (p, r) in enumerate(vertices)}
-    get = id_by_key.get
-    right_cayley = sys.right_cayley
-    adj_l, adj_r = cls_l.adjacency, cls_r.adjacency
-
-    # vertex ids ascend with the pairs, so a move reaches a larger id exactly
-    # when the moved coordinate grows.  Each edge is found from its smaller
-    # end, in (u, v) order: class adjacency lists ascend, and u's right moves
-    # keep pi, so they precede its left moves.
-    edges: list[tuple[int, int]] = []
-    for u, (p, r) in enumerate(vertices):
-        base = p * order
-        for r2 in adj_r[r]:
-            if r2 > r:
-                v = get(base + r2)
-                if v is not None:
-                    edges.append((u, v))
-        for p2 in adj_l[p]:
-            if p2 > p:
-                v = get(p2 * order + r)
-                # a left move shifts the product by rho^-1 s rho, which need
-                # not be simple; only moves whose projection is a Cayley
-                # step are edges, or the projection could not preserve them
-                if v is not None and projection[v] in right_cayley[projection[u]]:
-                    edges.append((u, v))
-    adjacency: list[list[int]] = [[] for _ in vertices]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-
-    fibers: dict[int, list[int]] = {t: [] for t in cls_t.members}
-    for vid, prod in enumerate(projection):
-        fibers[prod].append(vid)
-
-    # searches start from ascending unlabelled vertices, so a component's
-    # id follows its smallest vertex
-    component = [-1] * len(vertices)
-    n_comp = 0
-    for root in range(len(vertices)):
-        if component[root] != -1:
-            continue
-        component[root] = n_comp
-        stack = [root]
-        while stack:
-            for v in adjacency[stack.pop()]:
-                if component[v] == -1:
-                    component[v] = n_comp
-                    stack.append(v)
-        n_comp += 1
-    degrees = _component_degrees(sys, component, n_comp, fibers, cls_t,
-                                 left, right, target)
-    fiber_size = sum(degrees)
-
-    return CoveringInstance(
-        left=left, right=right, target=target, system=sys,
-        left_class=cls_l, right_class=cls_r, target_class=cls_t,
-        vertices=vertices, id_by_key=id_by_key, projection=projection,
-        edges=edges, adjacency=adjacency, fibers=fibers,
-        component=component, degrees=degrees, fiber_size=fiber_size,
-    )
-
-
-def _component_degrees(sys: CoxeterSystem, component: list[int], n_comp: int,
-                       fibers: dict[int, list[int]], cls_t: RecoilClass,
-                       left: int, right: int, target: int) -> list[int]:
-    """Per-component fiber count at a base point, verified constant over
-    every point of the target class."""
-    if n_comp == 0:
-        return []
-    base = cls_t.members[0]
-    degrees = [0] * n_comp
-    for vid in fibers[base]:
-        degrees[component[vid]] += 1
-    for t in cls_t.members[1:]:
-        counts = [0] * n_comp
-        for vid in fibers[t]:
-            counts[component[vid]] += 1
-        if counts != degrees:
-            raise FiberInconstant(
-                f"component fiber counts {counts} at {sys.format_index(t)} differ "
-                f"from {degrees} at {sys.format_index(base)} in the "
-                f"({format_subset(left)}, {format_subset(right)}, "
-                f"{format_subset(target)}) instance"
-            )
-    return degrees
+        yield target, CoveringInstance(sys, cls_l, cls_r, recoil_class(sys, target),
+                                       vertices, projection)
 
 
 def multiplicity_partition(instance: CoveringInstance) -> tuple[int, ...]:

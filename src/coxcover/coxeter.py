@@ -64,6 +64,17 @@ from .errors import CapExceeded, InvalidSpec, InvariantViolation
 DEFAULT_ELEMENT_CAP = 200_000
 
 
+def _decimal(n: int) -> str:
+    """n in decimal, or past 24 digits its first 8 digits and its digit
+    count, so that a message echoing a hostile parameter stays one short
+    line (str() would refuse more than 4300 digits)."""
+    if n < 10 ** 24:
+        return str(n)
+    digits = int((n.bit_length() - 1) * math.log10(2)) + 1  # at most one short
+    digits += n >= 10 ** digits
+    return f"{n // 10 ** (digits - 8)}...({digits} digits)"
+
+
 class CoxeterSpec(NamedTuple):
     """Description of a finite Coxeter group to enumerate.
 
@@ -121,9 +132,9 @@ class CoxeterSpec(NamedTuple):
 
     def describe(self) -> str:
         if self.kind == "symmetric":
-            return f"S{self.n}"
+            return f"S{_decimal(self.n)}"
         if self.kind == "dihedral":
-            return f"I{self.order}"
+            return f"I{_decimal(self.order)}"
         return f"matrix(rank={self.rank})"
 
     def validate(self) -> None:
@@ -286,7 +297,8 @@ def _build_symmetric(spec: CoxeterSpec) -> CoxeterSystem:
     for k in range(2, n + 1):  # stops at the first k! over the cap, so huge n ends fast
         size *= k
         if size > spec.element_cap:
-            raise CapExceeded(f"|S{n}| >= {size} exceeds element_cap {spec.element_cap}")
+            raise CapExceeded(f"|{spec.describe()}| >= {_decimal(size)} exceeds element_cap "
+                              f"{_decimal(spec.element_cap)}")
     # permutations() yields lex order, in which the k-th permutation has as
     # many inversions as k has digit sum in the factorial base; a stable
     # sort on that count gives the (length, one-line) order
@@ -379,7 +391,8 @@ def _simple_roots(spec: CoxeterSpec) -> list[list[float]]:
             else:
                 raise CapExceeded(
                     f"the bilinear form of {spec.describe()} is not positive definite: "
-                    f"the group is infinite or too large for element_cap {spec.element_cap}")
+                    "the group is infinite or too large for element_cap "
+                    f"{_decimal(spec.element_cap)}")
     return low
 
 
@@ -481,11 +494,12 @@ def _build_from_roots(spec: CoxeterSpec) -> CoxeterSystem:
     # every subset J of the generators is the recoil set of the longest
     # element of W_J, so |W| >= 2^rank
     if 2 ** rank > cap:
-        raise CapExceeded(f"|{spec.describe()}| >= 2^{rank} exceeds element_cap {cap}")
+        raise CapExceeded(f"|{spec.describe()}| >= 2^{rank} exceeds element_cap {_decimal(cap)}")
     # generators s, t with m(s, t) = m span a dihedral subgroup of order 2m
     largest = max(max(row) for row in matrix)
     if 2 * largest > cap:
-        raise CapExceeded(f"|{spec.describe()}| >= {2 * largest} exceeds element_cap {cap}")
+        raise CapExceeded(f"|{spec.describe()}| >= {_decimal(2 * largest)} exceeds element_cap "
+                          f"{_decimal(cap)}")
     perms = _root_action(spec, largest)
     _check_root_action(matrix, perms)
     # breadth-first by length with left multiplication; an element w is

@@ -4,7 +4,8 @@ The cycles of a class graph are generated by loops tracing the defining
 relations of the group, as far as they fit inside the class: going back and
 forth along one edge (squares), the 4-cycles of a commuting pair (order 2),
 the 6-cycles of a braid pair (order 3) and, in groups that have them, the
-2m-gons of pairs of order m >= 4 ("polygon" loops).
+2m-gons of pairs of order m >= 4 ("polygon" loops).  `relation_loops` finds
+them all, squares included, with one walker over the Cayley table.
 
 Lifting such a loop through a covering instance permutes the fiber over its
 base point.  `loop_action` walks vertex ids through the instance's lift
@@ -45,25 +46,25 @@ class FiberAction(NamedTuple):
 def relation_loops(sys: CoxeterSystem, cls: RecoilClass) -> list[Loop]:
     """All relation loops lying inside the class, each emitted once.
 
-    Squares are based at the smaller end of their edge.  Cycles of a
-    generator pair are based at their smallest element and traversed in the
-    rotation that starts with the smaller generator; the reverse rotation
-    is the inverse loop and is not repeated.  Each pair's alternating word
-    is built once per class; from every member it is walked through
-    `right_cayley`, stopping at the first step that leaves the class or
-    drops below the member, so only walks based at their minimum are
-    completed.  Cached on the system.
+    The words, built once per class, are the square (s, s) of each
+    generator, then each pair's alternating word in the rotation that
+    starts with the smaller generator (the reverse rotation is the inverse
+    loop).  Each is walked from every member through `right_cayley` and
+    stops at the first step that leaves the class or drops below the
+    member, so a loop is kept at its minimum only: one square per class
+    edge, at its smaller end.  Loops come out by base, then by word.
+    Cached on the system.
     """
     cached = sys._loop_cache.get(cls.subset)
     if cached is not None:
         return cached  # type: ignore[return-value]
-    loops = [Loop(u, (s, s), "square") for u, _, s in cls.edges]
-    words = [
+    words = [((s, s), "square") for s in range(sys.rank)] + [
         (alternating(s, t, 2 * m), "commuting" if m == 2 else "braid" if m == 3 else "polygon")
         for s in range(sys.rank)
         for t in range(s + 1, sys.rank)
         if (m := sys.matrix[s][t]) >= 2
     ]
+    loops: list[Loop] = []
     right, recoils, subset = sys.right_cayley, sys.recoils, cls.subset
     for base in cls.members:
         for word, kind in words:
@@ -210,17 +211,16 @@ def component_isomorphisms(instance: CoveringInstance) -> bool:
     cls = instance.target_class
     n_comp = instance.component_count
     comp_vertices = [0] * n_comp
-    comp_edges = [0] * n_comp
-    for vid in range(len(instance.vertices)):
-        comp_vertices[instance.component[vid]] += 1
-    for u, v in instance.edges:
-        if instance.component[u] != instance.component[v]:
-            return False
-        comp_edges[instance.component[u]] += 1
+    comp_ends = [0] * n_comp  # edge ends, twice the edges: no edge leaves its component
+    for vid, nbrs in enumerate(instance.adjacency):
+        c = instance.component[vid]
+        comp_vertices[c] += 1
+        comp_ends[c] += len(nbrs)
+    class_ends = sum(len(nbrs) for nbrs in cls.adjacency.values())
     # projections of one component must hit each class vertex once; edge
     # counts then force the edge bijection (projection never collapses)
     for c in range(n_comp):
-        if comp_vertices[c] != len(cls.members) or comp_edges[c] != len(cls.edges):
+        if comp_vertices[c] != len(cls.members) or comp_ends[c] != class_ends:
             return False
     seen: set[tuple[int, int]] = set()
     for vid, prod in enumerate(instance.projection):

@@ -2,8 +2,9 @@
 
 The class of a subset I collects every element whose recoil set is exactly I.
 It inherits a graph from the right Cayley graph (edges w -- w*s that stay in
-the class) and is an interval of the right weak order; its minimum and
-maximum are stored as `alpha` and `beta`.
+the class), stored once, as `adjacency`: each member's neighbours in
+ascending order.  The class is an interval of the right weak order; its
+minimum and maximum are stored as `alpha` and `beta`.
 
 Classes are built by a full scan of the enumerated group, so the interval
 property, connectivity and the edge criteria stay independently testable
@@ -18,13 +19,12 @@ from .gensets import complement, format_subset
 
 
 class RecoilClass:
-    __slots__ = ("subset", "members", "edges", "adjacency", "alpha", "beta")
+    __slots__ = ("subset", "members", "adjacency", "alpha", "beta")
 
-    def __init__(self, subset: int, members: list[int], edges: list[tuple[int, int, int]],
-                 adjacency: dict[int, list[int]], alpha: int, beta: int):
+    def __init__(self, subset: int, members: list[int], adjacency: dict[int, list[int]],
+                 alpha: int, beta: int):
         self.subset = subset
         self.members = members        # element indices, ascending
-        self.edges = edges            # (u, v, s) with u < v
         self.adjacency = adjacency    # element -> neighbour indices, ascending
         self.alpha = alpha            # weak-order minimum (element index)
         self.beta = beta              # weak-order maximum (element index)
@@ -43,18 +43,9 @@ def recoil_class(sys: CoxeterSystem, subset: int) -> RecoilClass:
     members = [i for i in range(len(sys.elements)) if sys.recoils[i] == subset]
     if not members:
         raise InvariantViolation(f"recoil class {format_subset(subset)} is empty")
-    edges = []
-    for u in members:
-        row = sys.right_cayley[u]
-        for s in range(sys.rank):
-            v = row[s]
-            if u < v and sys.recoils[v] == subset:
-                edges.append((u, v, s))
-    edges.sort()
-    adjacency: dict[int, list[int]] = {u: [] for u in members}
-    for u, v, _ in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+    right_cayley, recoils = sys.right_cayley, sys.recoils
+    adjacency = {u: sorted(v for v in right_cayley[u] if recoils[v] == subset)
+                 for u in members}
     # element indices ascend with (length, form), so the unique shortest and
     # longest members sit at the ends; uniqueness is part of the theorem
     if len(members) > 1:
@@ -62,7 +53,7 @@ def recoil_class(sys: CoxeterSystem, subset: int) -> RecoilClass:
             raise InvariantViolation("recoil class has no unique minimum")
         if sys.lengths[members[-1]] == sys.lengths[members[-2]]:
             raise InvariantViolation("recoil class has no unique maximum")
-    cls = RecoilClass(subset, members, edges, adjacency, members[0], members[-1])
+    cls = RecoilClass(subset, members, adjacency, members[0], members[-1])
     sys._class_cache[subset] = cls
     return cls
 

@@ -193,8 +193,17 @@ def cycle_rank(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> int:
     return n_edges - len(vertices) + len(set(uf.component_ids(vertices)))
 
 
+def class_edges(sys, cls) -> list[tuple[int, int, int]]:
+    """The edges of a class graph as (u, v, s) with u < v and v = u*s,
+    ascending, read off the class adjacency; s is v's position in u's row
+    of the right Cayley table."""
+    return [(u, v, sys.right_cayley[u].index(v))
+            for u in cls.members for v in cls.adjacency[u] if u < v]
+
+
 def class_cycle_rank(cls) -> int:
-    return cycle_rank(cls.members, cls.edges)
+    return cycle_rank(cls.members, [(u, v) for u in cls.members
+                                    for v in cls.adjacency[u] if u < v])
 
 
 def braid_loop_exists_positional(sys, w: int, i: int) -> bool:
@@ -207,14 +216,18 @@ def braid_loop_exists_positional(sys, w: int, i: int) -> bool:
 
 
 def reference_relation_loops(sys, cls) -> list[Loop]:
-    """`relation_loops` without its cache or shared words: from every member
-    and for every generator pair, build the alternating word afresh, record
-    the whole walk and stop only when it leaves the class; keep the walks
-    whose smallest element is their base."""
-    loops = [Loop(u, (s, s), "square") for u, _, s in cls.edges]
+    """`relation_loops` without its cache, shared words or square walks:
+    at every member, a square for each generator s whose Cayley neighbour
+    u*s is larger and in the class, read off the member's row of the right
+    Cayley table; then for every generator pair, build the alternating word
+    afresh, record the whole walk and stop only when it leaves the class;
+    keep the walks whose smallest element is their base."""
+    loops: list[Loop] = []
     pairs = [(s, t, sys.matrix[s][t]) for s in range(sys.rank)
              for t in range(s + 1, sys.rank) if sys.matrix[s][t] >= 2]
     for base in cls.members:
+        loops += [Loop(base, (s, s), "square") for s, v in enumerate(sys.right_cayley[base])
+                  if v > base and sys.recoils[v] == sys.recoils[base]]
         for s, t, m in pairs:
             walk = [base]
             for g in alternating(s, t, 2 * m):

@@ -275,6 +275,38 @@ def test_rank_over_the_cap_exits_3_before_any_root_work(tmp_path, capsys, monkey
         "error: |matrix(rank=20)| >= 2^20 exceeds element_cap 200000\n"
 
 
+@pytest.mark.parametrize("group, err", [
+    ("I" + "9" * 20,
+     "error: |I99999999999999999999| >= 199999999999999999998 exceeds element_cap 200000\n"),
+    ("S" + "9" * 20, "error: |S99999999999999999999| >= 362880 exceeds element_cap 200000\n"),
+    ("I" + "9" * 4000, "error: |I99999999...(4000 digits)| >= 19999999...(4001 digits) "
+                       "exceeds element_cap 200000\n"),
+    ("S" + "9" * 4000, "error: |S99999999...(4000 digits)| >= 362880 exceeds element_cap 200000\n"),
+    # 2m has 4301 digits, more than str() converts
+    ("I" + "9" * 4300, "error: |I99999999...(4300 digits)| >= 19999999...(4301 digits) "
+                       "exceeds element_cap 200000\n"),
+], ids=["I-20-digits", "S-20-digits", "I-4000-digits", "S-4000-digits", "I-4300-digits"])
+def test_cap_error_echoes_a_huge_parameter_in_one_short_line(capsys, group, err):
+    code = main(["table", "--group", group])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", err)
+    assert len(err.encode()) <= 200
+
+
+def test_cap_error_shortens_a_huge_matrix_entry_and_cap(tmp_path, capsys):
+    huge = "9" * 4300
+    path = tmp_path / "huge.json"
+    path.write_text('{"m": [[1, %s], [%s, 1]]}' % (huge, huge))
+    assert main(["table", "--group", f"matrix:{path}"]) == 3
+    assert capsys.readouterr().err == \
+        "error: |matrix(rank=2)| >= 19999999...(4301 digits) exceeds element_cap 200000\n"
+    affine = tmp_path / "A2_affine.json"
+    affine.write_text(json.dumps({"m": [[1, 3, 3], [3, 1, 3], [3, 3, 1]]}))
+    assert main(["--cap", huge, "table", "--group", f"matrix:{affine}"]) == 3
+    assert capsys.readouterr().err.endswith(
+        "too large for element_cap 99999999...(4300 digits)\n")
+
+
 def test_cap_flag_overrides_matrix_file(tmp_path, capsys):
     path = tmp_path / "free.json"
     path.write_text(json.dumps({"rank": 2, "m": [[1, 0], [0, 1]]}))

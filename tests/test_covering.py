@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import hashlib
 import re
 
 import pytest
@@ -9,7 +11,6 @@ from coxcover import (
     FiberInconstant,
     NotAClassEdge,
     build_fibered_graph,
-    covering,
     covering_dot,
     iter_fibered_graphs,
     multiplicity_partition,
@@ -21,8 +22,8 @@ from coxcover.gensets import iter_subsets
 from coxcover.recoil import conjugated_generator, same_class_edge_index
 
 from .support import (
-    UnionFind, class_cycle_rank, compose, cycle_rank, instance_fields, lift_side,
-    oracle_class, oracle_class_edges, perm, perm_index, subset)
+    UnionFind, class_cycle_rank, class_edges, compose, cycle_rank, instance_fields,
+    lift_side, oracle_class, oracle_class_edges, perm, perm_index, subset)
 
 
 def test_s4_instance_1_3_13(s4):
@@ -52,7 +53,7 @@ def test_empty_left_subset_gives_copy_of_right_class(s4, i6):
             inst = build_fibered_graph(sys_, 0, mask, mask)
             assert len(inst.vertices) == len(cls.members)
             assert inst.fiber_size == 1
-            assert len(inst.edges) == len(cls.edges)
+            assert len(inst.edges) == len(class_edges(sys_, cls))
             # every edge moves the right coordinate: pi is unchanged
             assert all(inst.vertices[u][0] == inst.vertices[v][0] for u, v in inst.edges)
 
@@ -99,14 +100,15 @@ def test_covering_axioms_all_s4(s4):
 
 
 def _rewired(inst, edges):
-    """A copy of the instance with its edges replaced and its adjacency
-    rebuilt to match them."""
-    edges = sorted(edges)
+    """A copy of the instance whose adjacency holds the given edges instead
+    of its own."""
     adjacency = [[] for _ in inst.vertices]
-    for u, v in edges:
+    for u, v in sorted(edges):
         adjacency[u].append(v)
         adjacency[v].append(u)
-    return CoveringInstance(**{**instance_fields(inst), "edges": edges, "adjacency": adjacency})
+    fake = copy.copy(inst)
+    fake.adjacency = adjacency
+    return fake
 
 
 def test_covering_axioms_fail_on_a_dropped_edge(s4):
@@ -324,13 +326,13 @@ def test_wire_refuses_a_fiber_of_another_size(s5):
     inst = build_fibered_graph(s5, subset(2, 3), subset(3, 4), subset(1, 3))
     assert len(inst.target_class.members) >= 2 and inst.fiber_size >= 1
     classes = (inst.left_class, inst.right_class, inst.target_class)
-    rewired = covering._wire(s5, *classes, list(inst.vertices), list(inst.projection))
+    rewired = CoveringInstance(s5, *classes, list(inst.vertices), list(inst.projection))
     assert instance_fields(rewired) == instance_fields(inst)
     # the short fiber sits over 21453, the base point is the class minimum 21435
     witness = ("component fiber counts [1] at 21453 differ from [2] at 21435 "
                "in the ({2,3}, {3,4}, {1,3}) instance")
     with pytest.raises(FiberInconstant) as raised:
-        covering._wire(s5, *classes, inst.vertices[:-1], inst.projection[:-1])
+        CoveringInstance(s5, *classes, inst.vertices[:-1], inst.projection[:-1])
     assert str(raised.value) == witness
 
 
@@ -369,7 +371,7 @@ def test_union_find_roots_are_smallest_members():
 def test_cycle_rank_of_classes(s4, s5):
     assert class_cycle_rank(recoil_class(s4, subset(3))) == 0
     y2 = recoil_class(s4, subset(2))
-    assert len(y2.members) == 5 and len(y2.edges) == 5
+    assert len(y2.members) == 5 and len(class_edges(s4, y2)) == 5
     assert class_cycle_rank(y2) == 1
     # independent recount for the 16-element class of S5
     members = oracle_class(5, (1, 3))
@@ -421,13 +423,34 @@ def test_dot_colour_and_label_follow_the_moved_coordinate(group, request):
     assert colors["blue"] > 0 and colors["red"] > 0
 
 
+# sha256 of the DOT text of every non-empty instance of S4 and then B3, in
+# (I, J) order and ascending target order, concatenated; the bytes of the
+# release that stored each instance's edge list next to its adjacency
+DOT_DIGEST = "b90ca10bc14291e7ab744c7825caba2adfa8fe1b2eba8e0fb1088c726b01b876"
+
+
+def test_dot_bytes_are_pinned(s4, b3):
+    # edges read off the adjacency keep their order, colours and labels
+    digest = hashlib.sha256()
+    instances = 0
+    for sys_ in (s4, b3):
+        for left in iter_subsets(sys_.rank):
+            for right in iter_subsets(sys_.rank):
+                for _, inst in iter_fibered_graphs(sys_, left, right):
+                    digest.update(covering_dot(inst).encode())
+                    instances += 1
+    assert instances == 188 + 248
+    assert digest.hexdigest() == DOT_DIGEST
+
+
 def _ascending(items) -> bool:
     return all(a < b for a, b in zip(items, items[1:]))
 
 
 @pytest.mark.parametrize("group", ["s4", "s5", "i6", "b3", "h3"])
 def test_edges_and_adjacency_lists_ascend(group, request):
-    # `_wire` relies on this order instead of sorting its edges
+    # the constructor appends each edge to both adjacency lists in scan
+    # order and relies on it to keep them ascending, without a sort
     sys_ = request.getfixturevalue(group)
     for mask in iter_subsets(sys_.rank):
         cls = recoil_class(sys_, mask)

@@ -134,7 +134,7 @@ class _OpenWalkSystem:
 
 def test_alternating_walk_that_does_not_close_is_refused():
     sys_ = _OpenWalkSystem()
-    cls = RecoilClass(0, [0], [], {}, 0, 0)
+    cls = RecoilClass(0, [0], {}, 0, 0)
     with pytest.raises(InvariantViolation, match="^alternating walk did not close$"):
         relation_loops(sys_, cls)
     with pytest.raises(InvariantViolation, match="^alternating walk did not close$"):

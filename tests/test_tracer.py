@@ -46,7 +46,12 @@ def test_tracer_layers_resolve():
      {"monodromy.loop_action", "covering.build_fibered_graph"}),
     # verify builds its instances through iter_fibered_graphs, which has no span
     (("verify", "--group", "S4"), {"monodromy.loop_action", "verify.coverings"}),
-], ids=["monodromy", "verify"])
+    # the counts of these spans read class members, row lists and the
+    # instance's classes and edges
+    (("table", "--group", "S3"), {"algebra.expansion_rows", "recoil.recoil_class"}),
+    (("cover", "--group", "S4", "--left", "1", "--right", "3", "--target", "1,3",
+      "--format", "json"), {"covering.build_fibered_graph", "covering.verify_covering"}),
+], ids=["monodromy", "verify", "table", "cover"])
 def test_traced_job_records_its_spans(argv, expected, tmp_path):
     spans_file = tmp_path / "spans"
     done = subprocess.run([sys.executable, str(TRACER), str(spans_file), "--", *argv],

@@ -13,18 +13,18 @@ from .support import subset
 @pytest.mark.parametrize("group", ["s4", "i6"])
 def test_sweep_builds_each_instance_once(group, request, monkeypatch):
     sys_ = request.getfixturevalue(group)
-    wire = covering._wire
+    wire = covering.CoveringInstance.__init__
     built = 0
 
-    def counting(*args):
+    def counting(self, *args):
         nonlocal built
         built += 1
-        return wire(*args)
+        wire(self, *args)
 
     def refuse(*args):
         raise AssertionError("the sweep must not expand products again")
 
-    monkeypatch.setattr(covering, "_wire", counting)
+    monkeypatch.setattr(covering.CoveringInstance, "__init__", counting)
     monkeypatch.setattr(algebra, "product_expand", refuse)
     monkeypatch.setattr(verify, "product_expand", refuse, raising=False)
     results = run_invariant_sweep(sys_)
