@@ -10,7 +10,10 @@ back into class sums:
   `build_fibered_graph(sys, I, J, K).fiber_size`.
 - The convolution oracle multiplies out all pairs in the group algebra and
   tallies per element (`convolution_oracle`).  It keeps its own scan, so it
-  shares no code with the route it checks.
+  shares no product code with the route it checks: the covering scan walks
+  a reduced word per pair, while the oracle walks one word per left element
+  and reads the rest of the row off the right class's tree of shorter
+  neighbours, one Cayley lookup per pair.
 
 `full_table` runs both for every pair of subsets and insists they agree.
 The Y basis is the class sums themselves; the X basis collects the class
@@ -25,9 +28,9 @@ from typing import NamedTuple
 
 from .coxeter import CoxeterSystem
 from .covering import iter_fibered_graphs, multiplicity_partition
-from .errors import ClassInconstant, OracleMismatch
+from .errors import ClassInconstant, InvariantViolation, OracleMismatch
 from .gensets import format_subset, iter_subsets, one_based
-from .recoil import recoil_class
+from .recoil import RecoilClass, recoil_class
 
 
 class AlgebraElement(NamedTuple):
@@ -72,15 +75,42 @@ def product_expand(sys: CoxeterSystem, left: int, right: int) -> AlgebraElement:
     return AlgebraElement.make("Y", coeffs)
 
 
+def _tree_links(sys: CoxeterSystem, cls: RecoilClass) -> list[tuple[int, int]]:
+    """For every member r after the minimum, in member order: the row
+    position of r' = r*s, its first class neighbour, and the generator s.
+    The class is an interval of the weak order, so that neighbour exists
+    and is shorter, and r = r'*s sits at an earlier position."""
+    position = {r: i for i, r in enumerate(cls.members)}
+    links = []
+    for i, r in enumerate(cls.members[1:], 1):
+        near = cls.adjacency[r][:1]
+        back = sys.right_cayley[r]
+        if not near or position.get(near[0], i) >= i or near[0] not in back:
+            raise InvariantViolation(
+                f"member {sys.format_index(r)} of class {format_subset(cls.subset)} "
+                f"has no shorter class neighbour")
+        links.append((position[near[0]], back.index(near[0])))
+    return links
+
+
 def convolution_oracle(sys: CoxeterSystem, left: int, right: int) -> AlgebraElement:
     """Brute-force route: multiply out all pairs, tally per group element,
-    and check the tally is constant on each recoil class."""
+    and check the tally is constant on each recoil class.
+
+    Each left element p multiplies the right class as one row: p*alpha_J by
+    a word walk, then every other p*r = (p*r')*s along the class's tree of
+    shorter neighbours, one Cayley lookup per pair."""
     cls_l = recoil_class(sys, left)
     cls_r = recoil_class(sys, right)
+    links = _tree_links(sys, cls_r)
+    right_cayley, multiply, root = sys.right_cayley, sys.multiply_index, cls_r.members[0]
     counts: Counter[int] = Counter()
     for p in cls_l.members:
-        for r in cls_r.members:
-            counts[sys.multiply_index(p, r)] += 1
+        row = [multiply(p, root)]  # p * alpha_J
+        append = row.append
+        for j, s in links:
+            append(right_cayley[row[j]][s])
+        counts.update(row)
     coeffs: dict[int, int] = {}
     for target in sorted({sys.recoils[w] for w in counts}):
         members = recoil_class(sys, target).members

@@ -62,6 +62,8 @@ from typing import NamedTuple, Sequence
 from .errors import CapExceeded, InvalidSpec, InvariantViolation
 
 DEFAULT_ELEMENT_CAP = 200_000
+# letters that the stored reduced words may hold per element of the cap
+WORD_LETTERS_PER_ELEMENT = 16
 
 
 def _decimal(n: int) -> str:
@@ -500,6 +502,11 @@ def _build_from_roots(spec: CoxeterSpec) -> CoxeterSystem:
     if 2 * largest > cap:
         raise CapExceeded(f"|{spec.describe()}| >= {_decimal(2 * largest)} exceeds element_cap "
                           f"{_decimal(cap)}")
+    # and that subgroup's 2m elements are stored as words of m^2 letters in all
+    if largest * largest > WORD_LETTERS_PER_ELEMENT * cap:
+        raise CapExceeded(f"the words of {spec.describe()} hold >= {_decimal(largest * largest)} "
+                          f"letters, more than {WORD_LETTERS_PER_ELEMENT} per element of "
+                          f"element_cap {_decimal(cap)}")
     perms = _root_action(spec, largest)
     _check_root_action(matrix, perms)
     # breadth-first by length with left multiplication; an element w is

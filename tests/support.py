@@ -4,7 +4,8 @@ tests check (a union-find for components, cycle ranks of class graphs, the
 positional braid criterion, relation loops found one walk at a time,
 loop actions lifted one step at a time,
 base-point independence of loop actions), the S_n tables built by swapping
-one-line entries, and the algebra product, which only the tests use."""
+one-line entries, the convolution tallied by one word walk per pair, and
+the algebra product, which only the tests use."""
 
 from __future__ import annotations
 
@@ -15,9 +16,10 @@ from typing import Iterable, Sequence
 from coxcover.algebra import AlgebraElement, product_expand, x_from_y, y_from_x
 from coxcover.covering import CoveringInstance, unique_lift_edge
 from coxcover.coxeter import _invert_oneline, _permutation_order
-from coxcover.errors import InvariantViolation
-from coxcover.gensets import from_one_based
+from coxcover.errors import ClassInconstant, InvariantViolation
+from coxcover.gensets import format_subset, from_one_based
 from coxcover.monodromy import FiberAction, Loop
+from coxcover.recoil import recoil_class
 from coxcover.words import WordEngine, alternating
 
 
@@ -277,6 +279,30 @@ def reference_loop_action(instance, loop: Loop) -> FiberAction:
     if sorted(permutation.values()) != sorted(permutation):
         raise InvariantViolation("loop action is not a bijection of the fiber")
     return FiberAction(loop, permutation, _permutation_order(permutation))
+
+
+def reference_convolution(sys, left: int, right: int) -> AlgebraElement:
+    """The convolution by word walks: every pair (p, r) multiplied by
+    walking r's reduced word, the products tallied per element, and the
+    tally checked constant on each recoil class.  The tests compare
+    `convolution_oracle`, which reads products off the class tree, with it."""
+    cls_l = recoil_class(sys, left)
+    cls_r = recoil_class(sys, right)
+    counts: Counter[int] = Counter()
+    for p in cls_l.members:
+        for r in cls_r.members:
+            counts[sys.multiply_index(p, r)] += 1
+    coeffs: dict[int, int] = {}
+    for target in sorted({sys.recoils[w] for w in counts}):
+        members = recoil_class(sys, target).members
+        values = {counts.get(w, 0) for w in members}
+        if len(values) != 1:
+            raise ClassInconstant(
+                f"counts {sorted(values)} differ inside class {format_subset(target)} "
+                f"for the product ({format_subset(left)}, {format_subset(right)})"
+            )
+        coeffs[target] = values.pop()
+    return AlgebraElement.make("Y", coeffs)
 
 
 def algebra_product(sys, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -7,6 +7,10 @@ import pytest
 
 from coxcover import (
     AlgebraElement,
+    CoxeterSpec,
+    InvariantViolation,
+    RecoilClass,
+    build_system,
     build_fibered_graph,
     convolution_oracle,
     expansion_rows,
@@ -18,7 +22,9 @@ from coxcover import (
 )
 from coxcover.gensets import bit_indices, from_bits, iter_subsets, one_based
 
-from .support import algebra_product, compose, oracle_recoils, subset
+from .support import (
+    algebra_product, compose, oracle_recoils, reference_convolution, subset,
+)
 
 
 def expansion(elem: AlgebraElement) -> dict[tuple[int, ...], int]:
@@ -40,7 +46,8 @@ def test_structure_constant_fixtures(s4, s5):
 ])
 def test_product_routes_scan_each_pair_once(s5, monkeypatch, left, right):
     # one covering scan per product (not one per target), plus the oracle's
-    # own scan in expansion_rows
+    # one word walk per left element in expansion_rows; the rest of each
+    # oracle row is read off the right class's tree of shorter neighbours
     calls = 0
     multiply = s5.multiply_index
 
@@ -53,7 +60,7 @@ def test_product_routes_scan_each_pair_once(s5, monkeypatch, left, right):
     lmask, rmask = subset(*left), subset(*right)
     pairs = len(recoil_class(s5, lmask)) * len(recoil_class(s5, rmask))
     expansion_rows(s5, lmask, rmask)
-    assert calls == 2 * pairs
+    assert calls == pairs + len(recoil_class(s5, lmask))
     calls = 0
     product_expand(s5, lmask, rmask)
     assert calls == pairs
@@ -118,6 +125,40 @@ def test_oracle_agreement(s3, s4, i6, b3):
             for right in iter_subsets(sys_.rank):
                 assert product_expand(sys_, left, right) == \
                     convolution_oracle(sys_, left, right)
+
+
+D4_MATRIX = [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]]
+
+
+def test_tree_rows_match_word_walks(s4, s5, i6, b3, h3):
+    d4 = build_system(CoxeterSpec.from_matrix(D4_MATRIX))
+    for sys_ in (s4, s5, i6, b3, h3, d4):
+        for left in iter_subsets(sys_.rank):
+            for right in iter_subsets(sys_.rank):
+                assert convolution_oracle(sys_, left, right) == \
+                    reference_convolution(sys_, left, right), (sys_, left, right)
+
+
+@pytest.mark.parametrize("member, fake", [
+    (-1, lambda sys_, cls, r: []),
+    # a Cayley neighbour outside the class
+    (-1, lambda sys_, cls, r: [v for v in sys_.right_cayley[r] if v not in cls.members][:1]),
+    # an earlier member that is no Cayley neighbour
+    (-1, lambda sys_, cls, r: [cls.alpha]),
+    # a class neighbour later in member order
+    (-2, lambda sys_, cls, r: [cls.beta]),
+], ids=["none", "outside", "not-adjacent", "longer"])
+def test_oracle_refuses_a_member_without_a_shorter_neighbour(member, fake):
+    # a fresh S4, since the fake class replaces the cached one
+    sys_ = build_system(CoxeterSpec.symmetric(4))
+    real = recoil_class(sys_, subset(2))
+    r = real.members[member]
+    neighbours = fake(sys_, real, r)
+    assert len(neighbours) <= 1 and neighbours != real.adjacency[r][:1]
+    sys_._class_cache[real.subset] = RecoilClass(
+        real.subset, real.members, {**real.adjacency, r: neighbours}, real.alpha, real.beta)
+    with pytest.raises(InvariantViolation, match="no shorter class neighbour"):
+        convolution_oracle(sys_, subset(1), subset(2))
 
 
 def test_counting_identity(s3, s4, i6):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pstats
@@ -16,6 +17,8 @@ from coxcover.covering import CoveringReport, build_fibered_graph
 from coxcover.dot import covering_dot
 from coxcover.errors import InvariantViolation
 from coxcover.gensets import from_one_based
+
+from .conftest import B3_MATRIX, H3_MATRIX
 
 B3_JSON = {"rank": 3, "m": [[1, 4, 2], [4, 1, 3], [2, 3, 1]], "element_cap": 200000}
 
@@ -357,13 +360,48 @@ def test_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, label, content
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("group", ["I1000000", "S10000000"])
+@pytest.mark.parametrize("group", ["I1000000", "S10000000", "I30000", "I100000"])
 def test_huge_named_groups_refused_fast(capsys, group):
     start = time.perf_counter()
     code = main(["cover", "--group", group, "--left", "1", "--right", "1", "--target", "1"])
     assert time.perf_counter() - start < 1.0
     assert code == 3
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_dihedral_words_bounded_by_sixteen_letters_per_capped_element(capsys):
+    # I_m stores its 2m elements as words of m^2 letters in all: I40 holds
+    # 1600 = 16 * 100 and is built, I41 holds 1681 and is refused
+    assert run_cli(capsys, "--cap", "100", "cover", "--group", "I40",
+                   "--left", "1", "--right", "2", "--target", "1,2")[0] == 0
+    assert main(["--cap", "100", "cover", "--group", "I41",
+                 "--left", "1", "--right", "2", "--target", "1,2"]) == 3
+    assert capsys.readouterr().err == ("error: the words of I41 hold >= 1681 letters, "
+                                       "more than 16 per element of element_cap 100\n")
+
+
+# sha256 of `table --format json` stdout, so that a change to the table path
+# that alters its output fails here; H3's equals the benchmark's digest
+TABLE_DIGESTS = {
+    "S5": "5b5e1a90bcf22e4f39643323f940bd6103a3ad56786b8a0230fc95c0b5a97773",
+    "I6": "087c29816900ca16cd71bf4e8332b70021abd7ba9e5cafdca40ff64af6bf89dc",
+    "B3": "2ea49a85f5552c04889d655360a6ce977af0fab37c3a2bf32ef8fdcc62f53a11",
+    "H3": "9f6d8227a0ef7bb056368e184a89e9c877932c7eb4aeff155cbad0b1366aeb5d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
+def test_table_json_bytes_pinned(tmp_path, capsys, name):
+    group = name
+    matrix = {"B3": B3_MATRIX, "H3": H3_MATRIX}.get(name)
+    if matrix is not None:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"rank": 3, "m": matrix}))
+        group = f"matrix:{path}"
+    code, out = run_cli(capsys, "table", "--group", group, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[name]
 
 
 def test_deterministic_output(capsys):
