@@ -79,7 +79,10 @@ def _tree_links(sys: CoxeterSystem, cls: RecoilClass) -> list[tuple[int, int]]:
     """For every member r after the minimum, in member order: the row
     position of r' = r*s, its first class neighbour, and the generator s.
     The class is an interval of the weak order, so that neighbour exists
-    and is shorter, and r = r'*s sits at an earlier position."""
+    and is shorter, and r = r'*s sits at an earlier position.  Kept on the
+    class, so each class is linked once."""
+    if cls.tree_links is not None:
+        return cls.tree_links
     position = {r: i for i, r in enumerate(cls.members)}
     links = []
     for i, r in enumerate(cls.members[1:], 1):
@@ -90,6 +93,7 @@ def _tree_links(sys: CoxeterSystem, cls: RecoilClass) -> list[tuple[int, int]]:
                 f"member {sys.format_index(r)} of class {format_subset(cls.subset)} "
                 f"has no shorter class neighbour")
         links.append((position[near[0]], back.index(near[0])))
+    cls.tree_links = links
     return links
 
 

@@ -12,7 +12,9 @@ exceeded, 141 (128 + SIGPIPE) when the reader closes stdout early, as in
 A process ends in `run`: it flushes stdout, then stderr, and leaves
 through `os._exit`, skipping interpreter finalization (freeing the Cayley
 tables and caches one object at a time); atexit handlers registered by
-other code therefore do not run.  Under a tracer or profiler (a debugger,
+other code therefore do not run.  No child process outlives it: `verify`
+reaps the workers its covering sweep forks before the sweep returns or
+raises, so before `os._exit`.  Under a tracer or profiler (a debugger,
 coverage, `python -m cProfile`) `run` returns the exit code instead, so
 they can write their results at exit.  `main` never exits the process.
 """

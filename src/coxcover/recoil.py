@@ -19,7 +19,7 @@ from .gensets import complement, format_subset
 
 
 class RecoilClass:
-    __slots__ = ("subset", "members", "adjacency", "alpha", "beta")
+    __slots__ = ("subset", "members", "adjacency", "alpha", "beta", "tree_links")
 
     def __init__(self, subset: int, members: list[int], adjacency: dict[int, list[int]],
                  alpha: int, beta: int):
@@ -28,6 +28,7 @@ class RecoilClass:
         self.adjacency = adjacency    # element -> neighbour indices, ascending
         self.alpha = alpha            # weak-order minimum (element index)
         self.beta = beta              # weak-order maximum (element index)
+        self.tree_links = None        # filled by the convolution oracle on first use
 
     def __len__(self) -> int:
         return len(self.members)

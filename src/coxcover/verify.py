@@ -21,11 +21,24 @@ violation, a braid loop of order above 2 included, from inside that sweep,
 before the algebra check has run, so it can pre-empt an error that check
 would raise; either way the CLI prints only the group header and one
 `invariant failure:` line, and exits 1.
+
+The products (I, J) of that sweep are independent, so the parent computes
+one share of them and forks one worker for each further CPU in its
+affinity mask (none with one CPU, without `os.fork`, or while another
+thread runs).  A worker sends its per-product checks, witnesses and fiber
+sizes back through a pipe with `marshal` and ends through `os._exit`.  The
+parent merges them in product order and computes again whatever a worker
+did not deliver, so the counts, the witnesses and the first error raised
+are those of a serial sweep, whatever the worker count.  Every worker is
+reaped before the sweep returns or raises.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
+import threading
 
 from .algebra import AlgebraElement, convolution_oracle, x_from_y, y_from_x
 from .coxeter import CoxeterSystem, positional_recoils
@@ -34,8 +47,9 @@ from .covering import (
     multiplicity_partition,
     verify_covering,
 )
+from .errors import CoxeterError
 from .gensets import format_subset, iter_subsets
-from .monodromy import monodromy_report
+from .monodromy import monodromy_report, relation_loops
 from .recoil import (
     alpha_oneline,
     beta_oneline,
@@ -156,27 +170,149 @@ def _check_coverings(sys: CoxeterSystem, fiber_sizes: FiberSizes,
     product is built once and handed to the covering-axiom check, the lift
     dichotomy and the monodromy check (which fills in `monodromy`).  Only
     the fiber sizes are kept, in `fiber_sizes[(I, J)]`, for the oracle
-    comparison."""
+    comparison.  `_sweep` shares the products out among forked workers."""
     res = CheckResult("covering axioms")
-    conjugates: dict[int, int | None] = {}
-    for left in iter_subsets(sys.rank):
-        for right in iter_subsets(sys.rank):
-            sizes = fiber_sizes[left, right] = {}
-            for target, inst in iter_fibered_graphs(sys, left, right):
-                sizes[target] = inst.fiber_size
-                res.checked += 1
-                report = verify_covering(inst)
-                if not report.ok:
-                    res.fail(f"covering axioms failed for ({format_subset(left)}, "
-                             f"{format_subset(right)}, {format_subset(target)}): "
-                             f"{report.violations[:1]}")
-                if sum(multiplicity_partition(inst)) != inst.fiber_size:
-                    res.fail(f"partition does not sum to the constant for "
-                             f"({format_subset(left)}, {format_subset(right)}, "
-                             f"{format_subset(target)})")
-                _check_lift_dichotomy(sys, inst, res, conjugates)
-                _check_instance_monodromy(inst, monodromy)
+    pairs = [(left, right) for left in iter_subsets(sys.rank) for right in iter_subsets(sys.rank)]
+    for subset in iter_subsets(sys.rank):
+        try:
+            relation_loops(sys, recoil_class(sys, subset))  # built once, before forking
+        except CoxeterError:
+            pass  # raised again by the first pair that needs the loops, in pair order
+    for (left, right), (sizes, checked, failures, loops) in zip(pairs, _sweep(sys, pairs)):
+        fiber_sizes[left, right] = sizes
+        res.checked += checked
+        res.failures += failures
+        monodromy.checked += loops
     return res
+
+
+# the fiber sizes by target, the covering checks and witnesses, and the
+# monodromy checks of one product, as plain data that `marshal` can send
+PairResult = tuple[dict[int, int], int, list[str], int]
+
+
+def _sweep_pair(sys: CoxeterSystem, left: int, right: int,
+                conjugates: dict[int, int | None]) -> PairResult:
+    """Every non-empty instance of the product (left, right), built and
+    checked once."""
+    res = CheckResult("covering axioms")
+    monodromy = CheckResult("monodromy")
+    sizes = {}
+    for target, inst in iter_fibered_graphs(sys, left, right):
+        sizes[target] = inst.fiber_size
+        res.checked += 1
+        report = verify_covering(inst)
+        if not report.ok:
+            res.fail(f"covering axioms failed for ({format_subset(left)}, "
+                     f"{format_subset(right)}, {format_subset(target)}): "
+                     f"{report.violations[:1]}")
+        if sum(multiplicity_partition(inst)) != inst.fiber_size:
+            res.fail(f"partition does not sum to the constant for "
+                     f"({format_subset(left)}, {format_subset(right)}, "
+                     f"{format_subset(target)})")
+        _check_lift_dichotomy(sys, inst, res, conjugates)
+        _check_instance_monodromy(inst, monodromy)
+    return sizes, res.checked, res.failures, monodromy.checked
+
+
+def _sweep(sys: CoxeterSystem, pairs: list[tuple[int, int]]) -> list[PairResult]:
+    """`_sweep_pair` of every pair, in pair order.  The parent computes
+    the first share of the pairs and one forked worker each further share.
+    A share stops at its first raising pair; every pair left without a
+    result (after that stop, or in the share of a worker that died or sent
+    nothing usable) is computed again here, in pair order, so the error
+    that comes up is the one a serial pass raises first.  Every worker is
+    reaped before this returns or raises; on an error or an interrupt they
+    are killed first."""
+    shares = _shares(len(pairs), _worker_count(len(pairs)))
+    results: list[PairResult | None] = [None] * len(pairs)
+    workers = []  # (pid, pipe, share)
+    try:
+        for share in shares[1:]:
+            try:
+                workers.append(_fork_worker(sys, pairs, share))
+            except OSError:
+                break  # out of processes or pipes: the shares left are computed below
+        for pos, result in zip(shares[0], _sweep_share(sys, pairs, shares[0])):
+            results[pos] = result
+        for _, pipe, share in workers:
+            for pos, result in zip(share, _decode(pipe.read(), len(share))):
+                results[pos] = result
+    except BaseException:
+        from signal import SIGKILL
+        for pid, _, _ in workers:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for pid, pipe, _ in workers:
+            pipe.close()
+            os.waitpid(pid, 0)
+    conjugates: dict[int, int | None] = {}
+    return [result if result is not None else _sweep_pair(sys, *pairs[pos], conjugates)
+            for pos, result in enumerate(results)]
+
+
+def _worker_count(pairs: int) -> int:
+    """One per CPU this process may run on, capped at `pairs`.  Only the
+    parent (1) without `os.fork` or while another thread runs: a forked
+    child gets only the forking thread, so a lock that another thread
+    holds would stay locked in it."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(len(affinity(0)), pairs)
+
+
+def _shares(total: int, count: int) -> list[range]:
+    """`count` shares of the pair positions, dealt round-robin, so each
+    takes about 1/count of the |Y_I|*|Y_J| scan; with two, exactly half,
+    since half of the group has any given recoil."""
+    return [range(first, total, count) for first in range(count)]
+
+
+def _sweep_share(sys: CoxeterSystem, pairs: list[tuple[int, int]],
+                 share: range) -> list[PairResult]:
+    """The results of a share's pairs, in order, up to its first raising
+    pair, which `_sweep` computes again."""
+    done: list[PairResult] = []
+    conjugates: dict[int, int | None] = {}
+    try:
+        for pos in share:
+            done.append(_sweep_pair(sys, *pairs[pos], conjugates))
+    except Exception:
+        pass
+    return done
+
+
+def _fork_worker(sys: CoxeterSystem, pairs: list[tuple[int, int]], share: range):
+    """Fork a worker for `share`: it sends `_sweep_share` through a pipe
+    with `marshal` and ends through `os._exit`, never writing to or
+    flushing the stdio buffers it inherited."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                marshal.dump(_sweep_share(sys, pairs, share), pipe)
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, open(read, "rb"), share
+
+
+def _decode(data: bytes, size: int) -> list[PairResult]:
+    """A worker's results, or none if what it sent is unusable."""
+    try:
+        done = marshal.loads(data)
+    except (EOFError, ValueError, TypeError):
+        return []
+    return done if isinstance(done, list) and len(done) <= size else []
 
 
 def _check_lift_dichotomy(sys, inst, res: CheckResult,

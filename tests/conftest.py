@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from coxcover import CoxeterSpec, build_system
+
+from .support import Tally
 
 B3_MATRIX = [[1, 4, 2], [4, 1, 3], [2, 3, 1]]
 A3_MATRIX = [[1, 3, 2], [3, 1, 3], [2, 3, 1]]
@@ -42,3 +46,10 @@ def a3():
 @pytest.fixture(scope="session")
 def h3():
     return build_system(CoxeterSpec.from_matrix(H3_MATRIX))
+
+
+@pytest.fixture
+def tally(tmp_path):
+    counter = Tally(tmp_path / "tally")
+    yield counter
+    os.close(counter.fd)

@@ -5,10 +5,12 @@ positional braid criterion, relation loops found one walk at a time,
 loop actions lifted one step at a time,
 base-point independence of loop actions), the S_n tables built by swapping
 one-line entries, the convolution tallied by one word walk per pair, and
-the algebra product, which only the tests use."""
+the algebra product, which only the tests use, and a call counter that
+forked workers share."""
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from itertools import permutations
 from typing import Iterable, Sequence
@@ -322,3 +324,19 @@ def algebra_product(sys, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement
             for mk, ck in product_expand(sys, mi, mj).coeffs:
                 out[mk] += ci * cj * ck
     return AlgebraElement.make("Y", dict(out))
+
+
+class Tally:
+    """Counts calls across forked workers: each call appends the caller's
+    pid as one line to a file opened with O_APPEND, which the workers
+    inherit."""
+
+    def __init__(self, path):
+        self.path = path
+        self.fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def add(self) -> None:
+        os.write(self.fd, b"%d\n" % os.getpid())
+
+    def pids(self) -> list[int]:
+        return [int(line) for line in self.path.read_bytes().split()]

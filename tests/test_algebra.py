@@ -161,6 +161,19 @@ def test_oracle_refuses_a_member_without_a_shorter_neighbour(member, fake):
         convolution_oracle(sys_, subset(1), subset(2))
 
 
+def test_tree_links_are_built_once_per_class():
+    # a fresh S4, since the class's adjacency is emptied below
+    sys_ = build_system(CoxeterSpec.symmetric(4))
+    cls = recoil_class(sys_, subset(2))
+    assert convolution_oracle(sys_, subset(1), subset(2)) == \
+        reference_convolution(sys_, subset(1), subset(2))
+    assert len(cls.tree_links) == len(cls.members) - 1
+    # built again from this adjacency, the links would refuse every member
+    cls.adjacency = {r: [] for r in cls.members}
+    assert convolution_oracle(sys_, subset(3), subset(2)) == \
+        reference_convolution(sys_, subset(3), subset(2))
+
+
 def test_counting_identity(s3, s4, i6):
     for sys_ in (s3, s4, i6):
         sizes = {m: len(recoil_class(sys_, m)) for m in iter_subsets(sys_.rank)}

@@ -444,6 +444,29 @@ def test_cli_import_loads_no_dataclasses():
                                        "lambda": [1], "components": 1, "vertices": 5}
 
 
+def test_verify_leaves_no_process_behind():
+    # the process ends through os._exit, so its sweep must have reaped
+    # every worker it forked; they would share its new process group
+    with subprocess.Popen(
+            [_sys.executable, "-m", "coxcover", "verify", "--group", "S4"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=MODULE_ENV,
+            start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert (proc.returncode, err) == (0, b"")
+    assert out.endswith(b"all checks passed (1579 total)\n")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    # the workers need no process-pool module, whose import every call would pay
+    probe = ("import sys, coxcover.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('pickle', 'multiprocessing', 'concurrent')))")
+    probe_run = subprocess.run([_sys.executable, "-S", "-c", probe],
+                               capture_output=True, text=True, env=MODULE_ENV)
+    assert (probe_run.returncode, probe_run.stdout) == (0, "[]\n"), probe_run.stderr
+
+
 def test_reader_closing_stdout_early_is_quiet():
     # the S5 text table is 84 KB, more than a 64 KiB pipe holds, so the
     # program is still writing when the reader goes away, as with `| head -1`

@@ -11,14 +11,12 @@ from .support import subset
 
 
 @pytest.mark.parametrize("group", ["s4", "i6"])
-def test_sweep_builds_each_instance_once(group, request, monkeypatch):
+def test_sweep_builds_each_instance_once(group, request, monkeypatch, tally):
     sys_ = request.getfixturevalue(group)
     wire = covering.CoveringInstance.__init__
-    built = 0
 
     def counting(self, *args):
-        nonlocal built
-        built += 1
+        tally.add()
         wire(self, *args)
 
     def refuse(*args):
@@ -28,6 +26,7 @@ def test_sweep_builds_each_instance_once(group, request, monkeypatch):
     monkeypatch.setattr(algebra, "product_expand", refuse)
     monkeypatch.setattr(verify, "product_expand", refuse, raising=False)
     results = run_invariant_sweep(sys_)
+    built = len(tally.pids())
     assert all(r.ok for r in results)
     non_empty = sum(len(convolution_oracle(sys_, left, right).coeffs)
                     for left in iter_subsets(sys_.rank) for right in iter_subsets(sys_.rank))
@@ -36,16 +35,14 @@ def test_sweep_builds_each_instance_once(group, request, monkeypatch):
 
 
 @pytest.mark.parametrize("group", ["s4", "i6"])
-def test_sweep_lifts_each_in_class_step_exactly_once(group, request, monkeypatch):
+def test_sweep_lifts_each_in_class_step_exactly_once(group, request, monkeypatch, tally):
     # filling the lift table is the only lift; the dichotomy checks the
     # table against its brute force and the relation loops read the table
     sys_ = request.getfixturevalue(group)
     lift = covering.unique_lift_edge
-    calls = 0
 
     def counting(*args):
-        nonlocal calls
-        calls += 1
+        tally.add()
         return lift(*args)
 
     # verify holds no such name (raising=False); patching it there anyway
@@ -53,6 +50,7 @@ def test_sweep_lifts_each_in_class_step_exactly_once(group, request, monkeypatch
     for module in (covering, verify, monodromy):
         monkeypatch.setattr(module, "unique_lift_edge", counting, raising=False)
     results = {r.name: r.checked for r in run_invariant_sweep(sys_)}
+    calls = len(tally.pids())
     non_empty = results["monodromy"]
     in_class_steps = results["covering axioms"] - non_empty  # one check per instance besides
     assert in_class_steps > 0
