@@ -29,10 +29,10 @@ structure constants of the descent algebra.
 `unique_lift_edge` decides how one in-class step of the product lifts.
 `CoveringInstance.lift_table` asks it once for every in-class step of an
 instance and keeps the answers as vertex ids; that is the only time a step
-is lifted.  `monodromy.loop_action`, the only code that walks the table,
-moves fiber points along relation loops through it, and the invariant
-sweep checks the table against a brute force that does not call
-`unique_lift_edge`.
+is lifted.  `monodromy.loop_action` moves fiber points along relation
+loops through it, `monodromy_report` confirms the square loops by
+checking that it is an involution, and the invariant sweep checks the
+table against a brute force that does not call `unique_lift_edge`.
 """
 
 from __future__ import annotations
@@ -271,8 +271,9 @@ def verify_covering(instance: CoveringInstance) -> CoveringReport:
     Surjectivity is read off the fibers.  Edge preservation and unique
     lifting are checked together, as one local-bijection test per vertex
     u: the projections of u's neighbours, counted with multiplicity, must
-    be the class neighbours of pi(u), each taken once.  Only a vertex that
-    fails the test is examined again, for its witnesses: a neighbour over a
+    be the class neighbours of pi(u), each taken once.  The test compares
+    every vertex's list in one pass; only when it fails does a second pass
+    examine each failing vertex for its witnesses: a neighbour over a
     non-neighbour of pi(u) breaks edge preservation, and a class neighbour
     hit n != 1 times gives "n lifts of edge ...".
 
@@ -299,24 +300,29 @@ def verify_covering(instance: CoveringInstance) -> CoveringReport:
     class_nbrs = instance.target_class.adjacency  # each list ascends
     bad_edges: list[str] = []
     bad_lifts: list[str] = []
-    for u, nbrs in enumerate(instance.adjacency):
-        pu = projection[u]
-        if sorted([projection[v] for v in nbrs]) == class_nbrs[pu]:
-            continue
-        for v in nbrs:
-            if projection[v] not in class_nbrs[pu]:
-                a, b = min(u, v), max(u, v)  # edges are written smaller end first
-                bad_edges.append(
-                    f"edge {vertices[a]} -- {vertices[b]} projects to non-edge "
-                    f"{sys.format_index(projection[a])} -- {sys.format_index(projection[b])}"
-                )
-        for b in class_nbrs[pu]:
-            hits = sum(1 for v in nbrs if projection[v] == b)
-            if hits != 1:
-                bad_lifts.append(
-                    f"{hits} lifts of edge {sys.format_index(pu)} -- "
-                    f"{sys.format_index(b)} at vertex {vertices[u]}"
-                )
+    adjacency = instance.adjacency
+    over = projection.__getitem__
+    seen = [sorted(map(over, nbrs)) for nbrs in adjacency]
+    wanted = list(map(class_nbrs.__getitem__, projection))
+    if seen != wanted:  # the witness pass, over the failing vertices
+        for u, nbrs in enumerate(adjacency):
+            if seen[u] == wanted[u]:
+                continue
+            pu = projection[u]
+            for v in nbrs:
+                if projection[v] not in class_nbrs[pu]:
+                    a, b = min(u, v), max(u, v)  # edges are written smaller end first
+                    bad_edges.append(
+                        f"edge {vertices[a]} -- {vertices[b]} projects to non-edge "
+                        f"{sys.format_index(projection[a])} -- {sys.format_index(projection[b])}"
+                    )
+            for b in class_nbrs[pu]:
+                hits = sum(1 for v in nbrs if projection[v] == b)
+                if hits != 1:
+                    bad_lifts.append(
+                        f"{hits} lifts of edge {sys.format_index(pu)} -- "
+                        f"{sys.format_index(b)} at vertex {vertices[u]}"
+                    )
     edges_preserved = not bad_edges
     unique_lifting = not bad_lifts
     violations += bad_edges[:1] + bad_lifts  # the first bad edge in edge order

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from .coxeter import _decimal
+
 
 def iter_subsets(rank: int) -> Iterator[int]:
     """All 2**rank subset masks in increasing numeric order."""
@@ -76,11 +78,20 @@ def parse_subset(text: str, rank: int) -> int:
             try:
                 i = int(part)
             except ValueError:
-                raise ValueError(f"bad generator index {part!r}") from None
+                raise ValueError(f"bad generator index {_echo(part)}") from None
         if not 1 <= i <= rank:
-            raise ValueError(f"generator index {i} outside 1..{rank}")
+            shown = _decimal(i) if i >= 0 else "-" + _decimal(-i)
+            raise ValueError(f"generator index {shown} outside 1..{rank}")
         mask |= 1 << (i - 1)
     return mask
+
+
+def _echo(part: str) -> str:
+    """The repr of a bad index, or past 26 characters the repr of its first
+    8 characters and its length, so that a message echoing hostile input
+    stays one short line, as `_decimal` keeps a huge number short."""
+    text = repr(part)
+    return text if len(text) <= 26 else f"{part[:8]!r}...({len(part)} characters)"
 
 
 if __name__ == "__main__":

@@ -10,10 +10,17 @@ them all, squares included, with one walker over the Cayley table.
 Lifting such a loop through a covering instance permutes the fiber over its
 base point.  `loop_action` walks vertex ids through the instance's lift
 table (`CoveringInstance.lift_table`), which `unique_lift_edge` fills once
-per in-class step, so a step shared by many loops is lifted once; no other
-code walks the table.  Squares and commuting loops always act trivially;
-braid loops act with order 1 or 2; polygon orders are measured and
-reported without asserting a bound.
+per in-class step, so a step shared by many loops is lifted once.  Squares
+and commuting loops always act trivially; braid loops act with order 1 or
+2; polygon orders are measured and reported without asserting a bound.
+
+A square (s, s) is the relation s^2 = 1: its lift from u ends at u exactly
+when lifts[s][lifts[s][u]] == u.  `monodromy_report` therefore confirms
+every square of an instance at once, by checking that the lift table is an
+involution on each square's step, with no -1, from every point over its
+base, and walks only the other loops through `loop_action`.  When that
+check fails it walks every loop, squares included, so the error raised and
+its witness are the per-loop walk's.
 """
 
 from __future__ import annotations
@@ -53,11 +60,12 @@ def relation_loops(sys: CoxeterSystem, cls: RecoilClass) -> list[Loop]:
     stops at the first step that leaves the class or drops below the
     member, so a loop is kept at its minimum only: one square per class
     edge, at its smaller end.  Loops come out by base, then by word.
-    Cached on the system.
+    Cached on the system, next to the loop counts by kind, the squares
+    and the other loops, which `monodromy_report` reads.
     """
     cached = sys._loop_cache.get(cls.subset)
     if cached is not None:
-        return cached  # type: ignore[return-value]
+        return cached[0]  # type: ignore[index]
     words = [((s, s), "square") for s in range(sys.rank)] + [
         (alternating(s, t, 2 * m), "commuting" if m == 2 else "braid" if m == 3 else "polygon")
         for s in range(sys.rank)
@@ -77,17 +85,21 @@ def relation_loops(sys: CoxeterSystem, cls: RecoilClass) -> list[Loop]:
                 if current != base:
                     raise InvariantViolation("alternating walk did not close")
                 loops.append(Loop(base, word, kind))
-    sys._loop_cache[cls.subset] = loops
+    counts = {"square": 0, "commuting": 0, "braid": 0, "polygon": 0}
+    for loop in loops:
+        counts[loop.kind] += 1
+    squares = [(l.base, l.word[0]) for l in loops if l.kind == "square"]
+    others = [l for l in loops if l.kind != "square"]
+    sys._loop_cache[cls.subset] = loops, counts, squares, others
     return loops
 
 
 def loop_action(instance: CoveringInstance, loop: Loop) -> FiberAction:
     """Permutation of the fiber over the loop's base induced by lifting the
     loop from every fiber point, walking vertex ids through the instance's
-    lift table; this is the library's only walk over the table.  A loop
-    that leaves the target class raises NotAClassEdge.  One cycle walk
-    (`_permutation_order`) checks that the ends permute the fiber and gives
-    the order."""
+    lift table.  A loop that leaves the target class raises NotAClassEdge.
+    One cycle walk (`_permutation_order`) checks that the ends permute the
+    fiber and gives the order."""
     base = loop.base
     fiber = instance.fibers.get(base)
     if fiber is None:
@@ -149,6 +161,9 @@ def monodromy_report(instance: CoveringInstance) -> MonodromyReport:
 
     Squares and commuting loops are required to act trivially and braid
     loops with order 1 or 2 (OrderViolation otherwise; neither can happen).
+    The squares are confirmed all at once, by `_squares_close`; only when
+    that fails is every loop walked through `loop_action`, squares
+    included, so the error and its witness are the per-loop walk's.
     When the class carries no braid or polygon loop at all, the instance
     must fall apart into disjoint copies of the target class: the partition
     is all ones and each component projects isomorphically.
@@ -156,13 +171,11 @@ def monodromy_report(instance: CoveringInstance) -> MonodromyReport:
     sys = instance.system
     cls = recoil_class(sys, instance.target)
     loops = relation_loops(sys, cls)
-    counts = {"square": 0, "commuting": 0, "braid": 0, "polygon": 0}
-    for loop in loops:
-        counts[loop.kind] += 1
+    _, counts, squares, others = sys._loop_cache[cls.subset]
     braid_orders: dict[int, int] = {}
     polygon_orders: dict[int, int] = {}
-    if not instance.is_empty:
-        for loop in loops:
+    if loops and not instance.is_empty:
+        for loop in others if _squares_close(instance, squares) else loops:
             action = loop_action(instance, loop)
             if loop.kind in ("square", "commuting"):
                 if action.order != 1:
@@ -194,6 +207,21 @@ def monodromy_report(instance: CoveringInstance) -> MonodromyReport:
     return report
 
 
+def _squares_close(instance: CoveringInstance, squares: list[tuple[int, int]]) -> bool:
+    """True when every square loop, given as (base, s), lifts to the
+    identity of its fiber, as `loop_action` would find it: the lift table
+    is an involution on the step, lifts[s][lifts[s][u]] == u with no -1,
+    from every point u over the base, and u lies over the base."""
+    lifts, projection, fibers = instance.lift_table(), instance.projection, instance.fibers
+    for base, s in squares:
+        row = lifts[s]
+        for u in fibers[base]:
+            v = row[u]
+            if v < 0 or row[v] != u or projection[u] != base:
+                return False
+    return True
+
+
 def _check_trivial_cover(instance: CoveringInstance, report: MonodromyReport) -> None:
     """Without braid or polygon loops every component must be a disjoint
     isomorphic copy of the target class."""
@@ -208,24 +236,13 @@ def _check_trivial_cover(instance: CoveringInstance, report: MonodromyReport) ->
 def component_isomorphisms(instance: CoveringInstance) -> bool:
     """True when every component projects one-to-one onto the target class,
     vertices and edges alike."""
-    cls = instance.target_class
-    n_comp = instance.component_count
-    comp_vertices = [0] * n_comp
-    comp_ends = [0] * n_comp  # edge ends, twice the edges: no edge leaves its component
-    for vid, nbrs in enumerate(instance.adjacency):
-        c = instance.component[vid]
-        comp_vertices[c] += 1
+    # a component's degree is its fiber count, which the constructor found
+    # equal at every class member: degree 1 is one vertex over each member
+    if any(d != 1 for d in instance.degrees):
+        return False
+    # edge counts then force the edge bijection (projection never collapses)
+    comp_ends = [0] * instance.component_count  # twice the edges: none leaves its component
+    for c, nbrs in zip(instance.component, instance.adjacency):
         comp_ends[c] += len(nbrs)
-    class_ends = sum(len(nbrs) for nbrs in cls.adjacency.values())
-    # projections of one component must hit each class vertex once; edge
-    # counts then force the edge bijection (projection never collapses)
-    for c in range(n_comp):
-        if comp_vertices[c] != len(cls.members) or comp_ends[c] != class_ends:
-            return False
-    seen: set[tuple[int, int]] = set()
-    for vid, prod in enumerate(instance.projection):
-        key = (instance.component[vid], prod)
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+    class_ends = sum(len(nbrs) for nbrs in instance.target_class.adjacency.values())
+    return all(ends == class_ends for ends in comp_ends)

@@ -9,28 +9,33 @@ on the first witness.
 The covering-axiom, lift-dichotomy and monodromy checks share one streamed
 sweep over the covering instances: every non-empty instance of every
 product is built once, handed to all three, and dropped before the next;
-only its fiber size is kept, for the algebra check's comparison with the
-convolution oracle.  The covering axioms are one local-bijection test per
-vertex.  The lift dichotomy fills the instance's lift table, which lifts
-each in-class step once by `unique_lift_edge`, and checks every entry
-against a brute force that tries both refactorizations by multiplication
-and shares no code with `unique_lift_edge`; the monodromy check then moves
-the fiber points along its loops through that table with `loop_action`, so
-no step is lifted twice.  `monodromy_report` raises on any monodromy
-violation, a braid loop of order above 2 included, from inside that sweep,
-before the algebra check has run, so it can pre-empt an error that check
-would raise; either way the CLI prints only the group header and one
-`invariant failure:` line, and exits 1.
+only its fiber size is kept.  Each product's convolution oracle runs in
+the sweep too, after its instances, and the algebra check compares the two
+afterwards; an oracle that raised there is called again by that check, in
+product order, so its error comes where a serial check raises it.  The
+covering axioms are one local-bijection test per vertex.  The lift
+dichotomy fills the instance's lift table, which lifts each in-class step
+once by `unique_lift_edge`, and checks every entry against a brute force
+that tries both refactorizations by multiplication and shares no code with
+`unique_lift_edge`; the monodromy check then reads its loops off that
+table, the squares as one involution test and the other loops walked by
+`loop_action`, so no step is lifted twice.  `monodromy_report` raises on
+any monodromy violation, a braid loop of order above 2 included, from
+inside that sweep, before the algebra check has run, so it can pre-empt an
+error that check would raise; either way the CLI prints only the group
+header and one `invariant failure:` line, and exits 1.
 
 The products (I, J) of that sweep are independent, so the parent computes
 one share of them and forks one worker for each further CPU in its
 affinity mask (none with one CPU, without `os.fork`, or while another
-thread runs).  A worker sends its per-product checks, witnesses and fiber
-sizes back through a pipe with `marshal` and ends through `os._exit`.  The
-parent merges them in product order and computes again whatever a worker
-did not deliver, so the counts, the witnesses and the first error raised
-are those of a serial sweep, whatever the worker count.  Every worker is
-reaped before the sweep returns or raises.
+thread runs).  A worker sends its per-product checks, witnesses, fiber
+sizes and oracle coefficients back through a pipe with `marshal` and ends
+through `os._exit`.  The parent merges them in product order and computes
+again whatever a worker did not deliver, so the counts, the witnesses and
+the first error raised are those of a serial sweep, whatever the worker
+count.  Every worker is reaped before the sweep returns or raises.  The
+relation loops and the oracle's tree links of every class are built
+before forking, so the workers share them.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import os
 import random
 import threading
 
-from .algebra import AlgebraElement, convolution_oracle, x_from_y, y_from_x
+from .algebra import AlgebraElement, _tree_links, convolution_oracle, x_from_y, y_from_x
 from .coxeter import CoxeterSystem, positional_recoils
 from .covering import (
     iter_fibered_graphs,
@@ -62,6 +67,10 @@ from .recoil import (
 
 
 FiberSizes = dict[tuple[int, int], dict[int, int]]  # (I, J) -> {K: structure constant}
+Coeffs = tuple[tuple[int, int], ...]  # an AlgebraElement's (subset, coefficient) pairs
+Oracles = dict[tuple[int, int], Coeffs | None]  # (I, J) -> the oracle, None where it raised
+# rho*rank + s -> (does rho*s stay in rho's class, rho s rho^-1 if simple)
+Facts = dict[int, tuple[bool, int | None]]
 
 
 class CheckResult:
@@ -164,37 +173,44 @@ def _check_classes(sys: CoxeterSystem) -> CheckResult:
     return res
 
 
-def _check_coverings(sys: CoxeterSystem, fiber_sizes: FiberSizes,
+def _check_coverings(sys: CoxeterSystem, fiber_sizes: FiberSizes, oracles: Oracles,
                      monodromy: CheckResult) -> CheckResult:
     """The one pass over instances: every non-empty instance of every
     product is built once and handed to the covering-axiom check, the lift
     dichotomy and the monodromy check (which fills in `monodromy`).  Only
-    the fiber sizes are kept, in `fiber_sizes[(I, J)]`, for the oracle
-    comparison.  `_sweep` shares the products out among forked workers."""
+    the fiber sizes are kept, in `fiber_sizes[(I, J)]`, with the product's
+    convolution oracle in `oracles[(I, J)]`, for the algebra check.
+    `_sweep` shares the products out among forked workers."""
     res = CheckResult("covering axioms")
     pairs = [(left, right) for left in iter_subsets(sys.rank) for right in iter_subsets(sys.rank)]
-    for subset in iter_subsets(sys.rank):
-        try:
-            relation_loops(sys, recoil_class(sys, subset))  # built once, before forking
-        except CoxeterError:
-            pass  # raised again by the first pair that needs the loops, in pair order
-    for (left, right), (sizes, checked, failures, loops) in zip(pairs, _sweep(sys, pairs)):
-        fiber_sizes[left, right] = sizes
+    for subset in iter_subsets(sys.rank):  # built once, before forking
+        cls = recoil_class(sys, subset)
+        for build in (relation_loops, _tree_links):
+            try:
+                build(sys, cls)
+            except CoxeterError:
+                pass  # raised again by the first pair that needs it, in pair order
+    for pair, (sizes, checked, failures, loops, oracle) in zip(pairs, _sweep(sys, pairs)):
+        fiber_sizes[pair] = sizes
+        oracles[pair] = oracle
         res.checked += checked
         res.failures += failures
         monodromy.checked += loops
     return res
 
 
-# the fiber sizes by target, the covering checks and witnesses, and the
-# monodromy checks of one product, as plain data that `marshal` can send
-PairResult = tuple[dict[int, int], int, list[str], int]
+# the fiber sizes by target, the covering checks and witnesses, the
+# monodromy checks and the oracle's coefficients (None where it raised) of
+# one product, as plain data that `marshal` can send
+PairResult = tuple[dict[int, int], int, list[str], int, Coeffs | None]
 
 
 def _sweep_pair(sys: CoxeterSystem, left: int, right: int,
-                conjugates: dict[int, int | None]) -> PairResult:
+                facts: Facts) -> PairResult:
     """Every non-empty instance of the product (left, right), built and
-    checked once."""
+    checked once, and the product's convolution oracle.  An oracle that
+    raises gives None: `_check_algebra` calls it again, so its error comes
+    after the whole sweep, where a serial check raises it."""
     res = CheckResult("covering axioms")
     monodromy = CheckResult("monodromy")
     sizes = {}
@@ -210,9 +226,13 @@ def _sweep_pair(sys: CoxeterSystem, left: int, right: int,
             res.fail(f"partition does not sum to the constant for "
                      f"({format_subset(left)}, {format_subset(right)}, "
                      f"{format_subset(target)})")
-        _check_lift_dichotomy(sys, inst, res, conjugates)
+        _check_lift_dichotomy(sys, inst, res, facts)
         _check_instance_monodromy(inst, monodromy)
-    return sizes, res.checked, res.failures, monodromy.checked
+    try:
+        oracle = convolution_oracle(sys, left, right).coeffs
+    except Exception:
+        oracle = None
+    return sizes, res.checked, res.failures, monodromy.checked, oracle
 
 
 def _sweep(sys: CoxeterSystem, pairs: list[tuple[int, int]]) -> list[PairResult]:
@@ -247,8 +267,8 @@ def _sweep(sys: CoxeterSystem, pairs: list[tuple[int, int]]) -> list[PairResult]
         for pid, pipe, _ in workers:
             pipe.close()
             os.waitpid(pid, 0)
-    conjugates: dict[int, int | None] = {}
-    return [result if result is not None else _sweep_pair(sys, *pairs[pos], conjugates)
+    facts: Facts = {}
+    return [result if result is not None else _sweep_pair(sys, *pairs[pos], facts)
             for pos, result in enumerate(results)]
 
 
@@ -275,10 +295,10 @@ def _sweep_share(sys: CoxeterSystem, pairs: list[tuple[int, int]],
     """The results of a share's pairs, in order, up to its first raising
     pair, which `_sweep` computes again."""
     done: list[PairResult] = []
-    conjugates: dict[int, int | None] = {}
+    facts: Facts = {}
     try:
         for pos in share:
-            done.append(_sweep_pair(sys, *pairs[pos], conjugates))
+            done.append(_sweep_pair(sys, *pairs[pos], facts))
     except Exception:
         pass
     return done
@@ -316,13 +336,14 @@ def _decode(data: bytes, size: int) -> list[PairResult]:
 
 
 def _check_lift_dichotomy(sys, inst, res: CheckResult,
-                          conjugates: dict[int, int | None]) -> None:
+                          facts: Facts) -> None:
     """Both candidate factorizations of every in-class step, brute-forced:
     exactly one must stay in its class, and the instance's lift table must
     hold the vertex it gives, (pi, rho*s) or (pi*t, rho) with t = rho s
-    rho^-1.  The conjugate of s by rho depends on (rho, s) alone, so it is
-    multiplied out once per pair and kept in `conjugates` under
-    rho*rank + s."""
+    rho^-1.  Whether rho*s stays in rho's class, and the conjugate of s by
+    rho, multiplied out, depend on (rho, s) alone, so they are found once
+    per pair and kept in `facts` under rho*rank + s; the lift table reads
+    none of them."""
     rank, right, recoils = sys.rank, sys.right_cayley, sys.recoils
     vertices, lifts = inst.vertices, inst.lift_table()
     checked = 0
@@ -333,12 +354,12 @@ def _check_lift_dichotomy(sys, inst, res: CheckResult,
             if recoils[steps[s]] != rec_sigma:
                 continue  # not an in-class step
             checked += 1
-            right_ok = recoils[right[r][s]] == rec_r
             key = r * rank + s
-            if key in conjugates:
-                conj = conjugates[key]
+            if key in facts:
+                right_ok, conj = facts[key]
             else:
-                conj = conjugates[key] = conjugated_generator(sys, r, s)
+                right_ok, conj = facts[key] = (recoils[right[r][s]] == rec_r,
+                                               conjugated_generator(sys, r, s))
             left_ok = conj is not None and recoils[right[p][conj]] == rec_p
             if right_ok == left_ok:
                 res.fail(f"lift dichotomy failed at {start} step s{s + 1}")
@@ -358,9 +379,11 @@ def _check_instance_monodromy(inst, res: CheckResult) -> None:
 
 
 def _check_algebra(sys: CoxeterSystem, rng: random.Random,
-                   fiber_sizes: FiberSizes) -> CheckResult:
+                   fiber_sizes: FiberSizes, oracles: Oracles) -> CheckResult:
     """Covering constants, as the fiber sizes the sweep kept, against the
-    convolution oracle and the counting identity, plus basis round trips."""
+    convolution oracle the sweep computed next to them, and the counting
+    identity, plus basis round trips.  Where the oracle raised in the
+    sweep, it is called again here, in pair order, to raise."""
     res = CheckResult("products vs oracle")
     class_sizes = {subset: len(recoil_class(sys, subset).members)
                    for subset in iter_subsets(sys.rank)}
@@ -368,7 +391,10 @@ def _check_algebra(sys: CoxeterSystem, rng: random.Random,
         for right in iter_subsets(sys.rank):
             res.checked += 1
             expansion = AlgebraElement.make("Y", fiber_sizes[left, right])
-            if expansion != convolution_oracle(sys, left, right):
+            coeffs = oracles[left, right]
+            oracle = (convolution_oracle(sys, left, right) if coeffs is None
+                      else AlgebraElement("Y", coeffs))
+            if expansion != oracle:
                 res.fail(f"oracle mismatch at ({format_subset(left)}, {format_subset(right)})")
             if any(c <= 0 for _, c in expansion.coeffs):
                 res.fail(f"nonpositive coefficient at ({format_subset(left)}, "
@@ -399,13 +425,14 @@ def run_invariant_sweep(sys: CoxeterSystem) -> list[CheckResult]:
     run inside `_check_coverings`."""
     rng = random.Random(0)
     fiber_sizes: FiberSizes = {}
+    oracles: Oracles = {}
     monodromy = CheckResult("monodromy")
     return [
         _check_cayley(sys),
         _check_recoil_descent(sys),
         _check_class_edges(sys),
         _check_classes(sys),
-        _check_coverings(sys, fiber_sizes, monodromy),
-        _check_algebra(sys, rng, fiber_sizes),
+        _check_coverings(sys, fiber_sizes, oracles, monodromy),
+        _check_algebra(sys, rng, fiber_sizes, oracles),
         _check_monodromy(sys, monodromy),
     ]

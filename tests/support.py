@@ -2,8 +2,8 @@
 never touches the library's tables, and reference code for theorems the
 tests check (a union-find for components, cycle ranks of class graphs, the
 positional braid criterion, relation loops found one walk at a time,
-loop actions lifted one step at a time,
-base-point independence of loop actions), the S_n tables built by swapping
+loop actions lifted one step at a time, monodromy reports that walk every
+loop, base-point independence of loop actions), the S_n tables built by swapping
 one-line entries, the convolution tallied by one word walk per pair, and
 the algebra product, which only the tests use, and a call counter that
 forked workers share."""
@@ -16,11 +16,12 @@ from itertools import permutations
 from typing import Iterable, Sequence
 
 from coxcover.algebra import AlgebraElement, product_expand, x_from_y, y_from_x
-from coxcover.covering import CoveringInstance, unique_lift_edge
+from coxcover.covering import CoveringInstance, multiplicity_partition, unique_lift_edge
 from coxcover.coxeter import _invert_oneline, _permutation_order
-from coxcover.errors import ClassInconstant, InvariantViolation
+from coxcover.errors import ClassInconstant, InvariantViolation, OrderViolation
 from coxcover.gensets import format_subset, from_one_based
-from coxcover.monodromy import FiberAction, Loop
+from coxcover.monodromy import (
+    FiberAction, Loop, MonodromyReport, loop_action, relation_loops)
 from coxcover.recoil import recoil_class
 from coxcover.words import WordEngine, alternating
 
@@ -281,6 +282,33 @@ def reference_loop_action(instance, loop: Loop) -> FiberAction:
     if sorted(permutation.values()) != sorted(permutation):
         raise InvariantViolation("loop action is not a bijection of the fiber")
     return FiberAction(loop, permutation, _permutation_order(permutation))
+
+
+def reference_monodromy_report(instance) -> MonodromyReport:
+    """`monodromy_report` without its square-loop shortcut or the check of
+    a trivial cover: every relation loop of the target class, squares
+    included, walks the lift table through `loop_action`, in loop order,
+    and raises as that walk does."""
+    sys = instance.system
+    loops = relation_loops(sys, recoil_class(sys, instance.target))
+    kinds = Counter(loop.kind for loop in loops)
+    orders: dict[str, Counter[int]] = {"braid": Counter(), "polygon": Counter()}
+    allowed = {"square": (1,), "commuting": (1,), "braid": (1, 2)}
+    for loop in loops if not instance.is_empty else ():
+        order = loop_action(instance, loop).order
+        if loop.kind in allowed and order not in allowed[loop.kind]:
+            raise OrderViolation(f"{loop.kind} loop at {sys.format_index(loop.base)} "
+                                 f"acted with order {order}")
+        if loop.kind in orders:
+            orders[loop.kind][order] += 1
+    return MonodromyReport(
+        left=instance.left, right=instance.right, target=instance.target,
+        empty=instance.is_empty,
+        braid_loops=kinds["braid"], braid_orders=dict(orders["braid"]),
+        polygon_loops=kinds["polygon"], polygon_orders=dict(orders["polygon"]),
+        no_braid_loops=not kinds["braid"] and not kinds["polygon"],
+        fiber_size=instance.fiber_size, partition=multiplicity_partition(instance),
+    )
 
 
 def reference_convolution(sys, left: int, right: int) -> AlgebraElement:

@@ -296,6 +296,28 @@ def test_cap_error_echoes_a_huge_parameter_in_one_short_line(capsys, group, err)
     assert len(err.encode()) <= 200
 
 
+@pytest.mark.parametrize("value, err", [
+    ("9", "error: generator index 9 outside 1..3\n"),
+    ("x", "error: bad generator index 'x'\n"),
+    ("9" * 24, "error: generator index %s outside 1..3\n" % ("9" * 24)),
+    ("9" * 4000, "error: generator index 99999999...(4000 digits) outside 1..3\n"),
+    ("-" + "9" * 4000, "error: generator index -99999999...(4000 digits) outside 1..3\n"),
+    # more digits than int() converts by default (4300)
+    ("9" * 5000, "error: bad generator index '99999999'...(5000 characters)\n"),
+    ("w" * 5000, "error: bad generator index 'wwwwwwww'...(5000 characters)\n"),
+    ("\u00e9" * 30, "error: bad generator index '%s'...(30 characters)\n" % ("\u00e9" * 8)),
+], ids=["index", "word", "24-digits", "4000-digits", "minus-4000-digits", "5000-digits",
+        "5000-letters", "30-accents"])
+@pytest.mark.parametrize("flag", ["--left", "--right", "--target"])
+def test_subset_error_echoes_a_huge_argument_in_one_short_line(capsys, flag, value, err):
+    where = {"--left": "1", "--right": "1", "--target": "1", flag: value}
+    argv = ["cover", "--group", "S4"] + [x for item in where.items() for x in item]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", err)
+    assert len(err.encode()) <= 200
+
+
 def test_cap_error_shortens_a_huge_matrix_entry_and_cap(tmp_path, capsys):
     huge = "9" * 4300
     path = tmp_path / "huge.json"

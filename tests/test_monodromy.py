@@ -24,7 +24,7 @@ from coxcover.recoil import RecoilClass
 
 from .support import (
     braid_loop_exists_positional, conjugate_action, perm, perm_index,
-    reference_loop_action, reference_relation_loops, subset)
+    reference_loop_action, reference_monodromy_report, reference_relation_loops, subset)
 
 FLAGSHIP = (subset(2, 3), subset(3, 4), subset(1, 3))
 
@@ -294,17 +294,66 @@ def test_monodromy_report_flagship(s5):
     }
 
 
+@pytest.mark.parametrize("group", ["s4", "b3", "h3"])
+def test_monodromy_report_matches_the_walk_over_every_loop(group, request):
+    sys_ = request.getfixturevalue(group)
+    reports = 0
+    for left in iter_subsets(sys_.rank):
+        for right in iter_subsets(sys_.rank):
+            for _, inst in iter_fibered_graphs(sys_, left, right):
+                got, want = monodromy_report(inst), reference_monodromy_report(inst)
+                assert got.to_json() == want.to_json()
+                assert (got.braid_orders, got.polygon_orders, got.partition) == \
+                    (want.braid_orders, want.polygon_orders, want.partition)
+                reports += 1
+    assert reports > 0
+
+
+def corrupted_square(inst):
+    """One of the instance's square loops, its generator and the two
+    points of its base fiber, ready to be corrupted."""
+    loop = next(l for l in relation_loops(inst.system, inst.target_class) if l.kind == "square")
+    a, b = inst.fibers[loop.base]
+    return loop, loop.word[0], a, b
+
+
+def assert_raises_as_the_walk(inst, error, match) -> None:
+    """`monodromy_report` raises `error`, with the message of the walk
+    over every loop."""
+    with pytest.raises(error, match=match) as got:
+        monodromy_report(inst)
+    with pytest.raises(error) as want:
+        reference_monodromy_report(inst)
+    assert type(got.value) is type(want.value) is error
+    assert str(got.value) == str(want.value)
+
+
 def test_monodromy_report_refuses_a_square_that_swaps_fiber_points(s5):
     inst = build_fibered_graph(s5, *FLAGSHIP)
-    loop = next(l for l in relation_loops(s5, inst.target_class) if l.kind == "square")
-    a, b = inst.fibers[loop.base]
-    s = loop.word[0]
+    loop, s, a, b = corrupted_square(inst)
     lifts = inst.lift_table()
     # send the way back of each point's square to the other point
     lifts[s][lifts[s][a]], lifts[s][lifts[s][b]] = b, a
     assert loop_action(inst, loop).permutation == {a: b, b: a}
-    with pytest.raises(OrderViolation, match="^square loop at .* acted with order 2$"):
-        monodromy_report(inst)
+    assert_raises_as_the_walk(inst, OrderViolation, "^square loop at .* acted with order 2$")
+
+
+def test_monodromy_report_refuses_a_lift_table_that_merges_fiber_points(s5):
+    # only squares: no other loop would walk into the merged points
+    inst = build_fibered_graph(s5, subset(2), subset(2, 4), subset(4))
+    assert {l.kind for l in relation_loops(s5, inst.target_class)} == {"square"}
+    _, s, a, b = corrupted_square(inst)
+    lifts = inst.lift_table()
+    lifts[s][a] = lifts[s][b]
+    assert_raises_as_the_walk(inst, InvariantViolation, "not a bijection")
+
+
+def test_monodromy_report_refuses_a_square_lift_that_leaves_the_class(s5):
+    inst = build_fibered_graph(s5, *FLAGSHIP)
+    _, s, a, _ = corrupted_square(inst)
+    inst.lift_table()[s][a] = -1  # an in-class step over the square's base
+    assert_raises_as_the_walk(inst, NotAClassEdge, "^loop s%d s%d at .* leaves the target class"
+                              % (s + 1, s + 1))
 
 
 def test_monodromy_report_no_braid_classes(s4):

@@ -1,5 +1,6 @@
 """`verify` shares its covering sweep out among forked workers, one per
-CPU in the affinity mask.  Whatever the worker count, and whatever a
+CPU in the affinity mask, and each share computes its products'
+convolution oracles too.  Whatever the worker count, and whatever a
 worker does, the output is that of one serial pass, and no child outlives
 the sweep."""
 
@@ -14,7 +15,7 @@ import pytest
 
 from coxcover import verify
 from coxcover.cli import main
-from coxcover.errors import InvariantViolation
+from coxcover.errors import ClassInconstant, InvariantViolation
 from coxcover.gensets import format_subset, iter_subsets
 from coxcover.verify import run_invariant_sweep
 
@@ -64,13 +65,24 @@ def test_output_does_not_depend_on_the_worker_count(name, tmp_path, capsys, monk
     group = group_arg(name, tmp_path)
     default = run_verify(capsys, group)
     assert default[0] == 0 and default[2] == ""
-    assert_no_child_left()
-    tally_pairs(monkeypatch, tally)
+    assert "\nproducts vs oracle: ok (" in default[1]
+    rank = int(default[1].split("rank ")[1].split("\n")[0])
+    oracle = verify.convolution_oracle
+
+    def tallied(*args):
+        tally.add()
+        return oracle(*args)
+
+    monkeypatch.setattr(verify, "convolution_oracle", tallied)
     for count in (1, 3):
         set_cpus(monkeypatch, count)
         seen = len(tally.pids())
         assert run_verify(capsys, group) == default
-        assert len(set(tally.pids()[seen:])) == count  # the parent and count - 1 workers
+        calls = tally.pids()[seen:]
+        # once per product, in the parent and count - 1 workers, and none
+        # in the algebra check
+        assert len(calls) == 4 ** rank
+        assert len(set(calls)) == count
         assert_no_child_left()
 
 
@@ -98,6 +110,45 @@ def test_two_failures_give_the_serial_error(earlier, s4, capsys, monkeypatch):
                       f"{format_subset(right)})\n")
     set_cpus(monkeypatch, 2)
     assert run_verify(capsys, "S4") == serial
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("sweep_fails", [False, True], ids=["oracle", "oracle-then-sweep"])
+def test_an_oracle_error_in_a_worker_gives_the_serial_error(sweep_fails, s4, capsys,
+                                                            monkeypatch, tally):
+    pairs = [(left, right) for left in iter_subsets(3) for right in iter_subsets(3)]
+    worker_share = verify._shares(len(pairs), 2)[1]
+    bad, later = pairs[worker_share[0]], pairs[-1]
+    assert later != bad
+    oracle, covering = verify.convolution_oracle, verify.verify_covering
+
+    def failing_oracle(sys_, left, right):
+        if (left, right) == bad:
+            tally.add()
+            raise ClassInconstant(f"injected oracle failure at ({format_subset(left)}, "
+                                  f"{format_subset(right)})")
+        return oracle(sys_, left, right)
+
+    def failing_covering(inst):
+        if (inst.left, inst.right) == later:
+            raise InvariantViolation("injected covering failure")
+        return covering(inst)
+
+    monkeypatch.setattr(verify, "convolution_oracle", failing_oracle)
+    if sweep_fails:
+        monkeypatch.setattr(verify, "verify_covering", failing_covering)
+    set_cpus(monkeypatch, 1)
+    serial = run_verify(capsys, "S4")
+    message = ("injected covering failure" if sweep_fails else
+               f"injected oracle failure at ({format_subset(bad[0])}, {format_subset(bad[1])})")
+    assert serial == (1, "group S4: 24 elements, rank 3\n", f"invariant failure: {message}\n")
+    set_cpus(monkeypatch, 2)
+    seen = len(tally.pids())
+    assert run_verify(capsys, "S4") == serial
+    # the worker met the fault first; the algebra check, run only when the
+    # sweep passed, met it again in the parent
+    assert tally.pids()[seen:] == [tally.pids()[seen]] + [os.getpid()] * (not sweep_fails)
+    assert tally.pids()[seen] != os.getpid()
     assert_no_child_left()
 
 
