@@ -230,7 +230,6 @@ class CoxeterSystem:
         self.descents = self._mask_table(self.right_cayley)
         self.longest_index = self._find_longest()
         self._class_cache: dict[int, object] = {}
-        self._loop_cache: dict[int, object] = {}
 
     # -- construction helpers ------------------------------------------------
 

@@ -60,12 +60,11 @@ def relation_loops(sys: CoxeterSystem, cls: RecoilClass) -> list[Loop]:
     stops at the first step that leaves the class or drops below the
     member, so a loop is kept at its minimum only: one square per class
     edge, at its smaller end.  Loops come out by base, then by word.
-    Cached on the system, next to the loop counts by kind, the squares
-    and the other loops, which `monodromy_report` reads.
+    Kept on the class, next to the loop counts by kind, the squares and
+    the other loops, which `monodromy_report` reads.
     """
-    cached = sys._loop_cache.get(cls.subset)
-    if cached is not None:
-        return cached[0]  # type: ignore[index]
+    if cls.loops is not None:
+        return cls.loops[0]
     words = [((s, s), "square") for s in range(sys.rank)] + [
         (alternating(s, t, 2 * m), "commuting" if m == 2 else "braid" if m == 3 else "polygon")
         for s in range(sys.rank)
@@ -90,7 +89,7 @@ def relation_loops(sys: CoxeterSystem, cls: RecoilClass) -> list[Loop]:
         counts[loop.kind] += 1
     squares = [(l.base, l.word[0]) for l in loops if l.kind == "square"]
     others = [l for l in loops if l.kind != "square"]
-    sys._loop_cache[cls.subset] = loops, counts, squares, others
+    cls.loops = loops, counts, squares, others
     return loops
 
 
@@ -170,8 +169,8 @@ def monodromy_report(instance: CoveringInstance) -> MonodromyReport:
     """
     sys = instance.system
     cls = recoil_class(sys, instance.target)
-    loops = relation_loops(sys, cls)
-    _, counts, squares, others = sys._loop_cache[cls.subset]
+    relation_loops(sys, cls)
+    loops, counts, squares, others = cls.loops
     braid_orders: dict[int, int] = {}
     polygon_orders: dict[int, int] = {}
     if loops and not instance.is_empty:

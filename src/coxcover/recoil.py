@@ -19,7 +19,7 @@ from .gensets import complement, format_subset
 
 
 class RecoilClass:
-    __slots__ = ("subset", "members", "adjacency", "alpha", "beta", "tree_links")
+    __slots__ = ("subset", "members", "adjacency", "alpha", "beta", "tree_links", "loops")
 
     def __init__(self, subset: int, members: list[int], adjacency: dict[int, list[int]],
                  alpha: int, beta: int):
@@ -29,6 +29,7 @@ class RecoilClass:
         self.alpha = alpha            # weak-order minimum (element index)
         self.beta = beta              # weak-order maximum (element index)
         self.tree_links = None        # filled by the convolution oracle on first use
+        self.loops = None             # filled by `relation_loops` on first use, split by kind
 
     def __len__(self) -> int:
         return len(self.members)

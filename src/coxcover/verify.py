@@ -10,10 +10,13 @@ The covering-axiom, lift-dichotomy and monodromy checks share one streamed
 sweep over the covering instances: every non-empty instance of every
 product is built once, handed to all three, and dropped before the next;
 only its fiber size is kept.  Each product's convolution oracle runs in
-the sweep too, after its instances, and the algebra check compares the two
-afterwards; an oracle that raised there is called again by that check, in
-product order, so its error comes where a serial check raises it.  The
-covering axioms are one local-bijection test per vertex.  The lift
+the sweep too, after its instances.  The sweep leaves one record per
+product, in product order: its fiber sizes, covering checks, witnesses
+and oracle coefficients.  The algebra check compares the sizes with the
+oracle; an oracle that raised in the sweep is called again by that check,
+in product order, so its error comes where a serial check raises it.
+The monodromy check counts one check per instance, so one per fiber
+size.  The covering axioms are one local-bijection test per vertex.  The lift
 dichotomy fills the instance's lift table, which lifts each in-class step
 once by `unique_lift_edge`, and checks every entry against a brute force
 that tries both refactorizations by multiplication and shares no code with
@@ -33,9 +36,10 @@ sizes and oracle coefficients back through a pipe with `marshal` and ends
 through `os._exit`.  The parent merges them in product order and computes
 again whatever a worker did not deliver, so the counts, the witnesses and
 the first error raised are those of a serial sweep, whatever the worker
-count.  Every worker is reaped before the sweep returns or raises.  The
-relation loops and the oracle's tree links of every class are built
-before forking, so the workers share them.
+count.  Every worker is reaped before the sweep returns or raises.  Each
+process builds the relation loops and tree links its pairs need, on first
+use, so the first pair that needs a class that cannot be built raises, in
+pair order.
 """
 
 from __future__ import annotations
@@ -45,16 +49,15 @@ import os
 import random
 import threading
 
-from .algebra import AlgebraElement, _tree_links, convolution_oracle, x_from_y, y_from_x
+from .algebra import AlgebraElement, convolution_oracle, x_from_y, y_from_x
 from .coxeter import CoxeterSystem, positional_recoils
 from .covering import (
     iter_fibered_graphs,
     multiplicity_partition,
     verify_covering,
 )
-from .errors import CoxeterError
 from .gensets import format_subset, iter_subsets
-from .monodromy import monodromy_report, relation_loops
+from .monodromy import monodromy_report
 from .recoil import (
     alpha_oneline,
     beta_oneline,
@@ -66,9 +69,7 @@ from .recoil import (
 )
 
 
-FiberSizes = dict[tuple[int, int], dict[int, int]]  # (I, J) -> {K: structure constant}
 Coeffs = tuple[tuple[int, int], ...]  # an AlgebraElement's (subset, coefficient) pairs
-Oracles = dict[tuple[int, int], Coeffs | None]  # (I, J) -> the oracle, None where it raised
 # rho*rank + s -> (does rho*s stay in rho's class, rho s rho^-1 if simple)
 Facts = dict[int, tuple[bool, int | None]]
 
@@ -173,36 +174,29 @@ def _check_classes(sys: CoxeterSystem) -> CheckResult:
     return res
 
 
-def _check_coverings(sys: CoxeterSystem, fiber_sizes: FiberSizes, oracles: Oracles,
-                     monodromy: CheckResult) -> CheckResult:
+# the fiber sizes by target, the covering checks and witnesses and the
+# oracle's coefficients (None where it raised) of one product, as plain
+# data that `marshal` can send
+PairResult = tuple[dict[int, int], int, list[str], Coeffs | None]
+
+
+def _pairs(sys: CoxeterSystem) -> list[tuple[int, int]]:
+    """Every product (I, J), in the order the checks report them."""
+    return [(left, right) for left in iter_subsets(sys.rank) for right in iter_subsets(sys.rank)]
+
+
+def _check_coverings(sys: CoxeterSystem, swept: list[PairResult]) -> CheckResult:
     """The one pass over instances: every non-empty instance of every
     product is built once and handed to the covering-axiom check, the lift
-    dichotomy and the monodromy check (which fills in `monodromy`).  Only
-    the fiber sizes are kept, in `fiber_sizes[(I, J)]`, with the product's
-    convolution oracle in `oracles[(I, J)]`, for the algebra check.
+    dichotomy and `monodromy_report`.  Each product's record goes into
+    `swept`, in pair order, for the algebra and monodromy checks.
     `_sweep` shares the products out among forked workers."""
     res = CheckResult("covering axioms")
-    pairs = [(left, right) for left in iter_subsets(sys.rank) for right in iter_subsets(sys.rank)]
-    for subset in iter_subsets(sys.rank):  # built once, before forking
-        cls = recoil_class(sys, subset)
-        for build in (relation_loops, _tree_links):
-            try:
-                build(sys, cls)
-            except CoxeterError:
-                pass  # raised again by the first pair that needs it, in pair order
-    for pair, (sizes, checked, failures, loops, oracle) in zip(pairs, _sweep(sys, pairs)):
-        fiber_sizes[pair] = sizes
-        oracles[pair] = oracle
+    swept += _sweep(sys, _pairs(sys))
+    for _, checked, failures, _ in swept:
         res.checked += checked
         res.failures += failures
-        monodromy.checked += loops
     return res
-
-
-# the fiber sizes by target, the covering checks and witnesses, the
-# monodromy checks and the oracle's coefficients (None where it raised) of
-# one product, as plain data that `marshal` can send
-PairResult = tuple[dict[int, int], int, list[str], int, Coeffs | None]
 
 
 def _sweep_pair(sys: CoxeterSystem, left: int, right: int,
@@ -212,7 +206,6 @@ def _sweep_pair(sys: CoxeterSystem, left: int, right: int,
     raises gives None: `_check_algebra` calls it again, so its error comes
     after the whole sweep, where a serial check raises it."""
     res = CheckResult("covering axioms")
-    monodromy = CheckResult("monodromy")
     sizes = {}
     for target, inst in iter_fibered_graphs(sys, left, right):
         sizes[target] = inst.fiber_size
@@ -227,12 +220,12 @@ def _sweep_pair(sys: CoxeterSystem, left: int, right: int,
                      f"({format_subset(left)}, {format_subset(right)}, "
                      f"{format_subset(target)})")
         _check_lift_dichotomy(sys, inst, res, facts)
-        _check_instance_monodromy(inst, monodromy)
+        monodromy_report(inst)  # raises on any monodromy violation
     try:
         oracle = convolution_oracle(sys, left, right).coeffs
     except Exception:
         oracle = None
-    return sizes, res.checked, res.failures, monodromy.checked, oracle
+    return sizes, res.checked, res.failures, oracle
 
 
 def _sweep(sys: CoxeterSystem, pairs: list[tuple[int, int]]) -> list[PairResult]:
@@ -370,16 +363,7 @@ def _check_lift_dichotomy(sys, inst, res: CheckResult,
     res.checked += checked
 
 
-def _check_instance_monodromy(inst, res: CheckResult) -> None:
-    """Lift every relation loop of the target class; `monodromy_report`
-    raises on any violation, among them a braid loop acting with an order
-    other than 1 or 2."""
-    res.checked += 1
-    monodromy_report(inst)
-
-
-def _check_algebra(sys: CoxeterSystem, rng: random.Random,
-                   fiber_sizes: FiberSizes, oracles: Oracles) -> CheckResult:
+def _check_algebra(sys: CoxeterSystem, swept: list[PairResult]) -> CheckResult:
     """Covering constants, as the fiber sizes the sweep kept, against the
     convolution oracle the sweep computed next to them, and the counting
     identity, plus basis round trips.  Where the oracle raised in the
@@ -387,22 +371,21 @@ def _check_algebra(sys: CoxeterSystem, rng: random.Random,
     res = CheckResult("products vs oracle")
     class_sizes = {subset: len(recoil_class(sys, subset).members)
                    for subset in iter_subsets(sys.rank)}
-    for left in iter_subsets(sys.rank):
-        for right in iter_subsets(sys.rank):
-            res.checked += 1
-            expansion = AlgebraElement.make("Y", fiber_sizes[left, right])
-            coeffs = oracles[left, right]
-            oracle = (convolution_oracle(sys, left, right) if coeffs is None
-                      else AlgebraElement("Y", coeffs))
-            if expansion != oracle:
-                res.fail(f"oracle mismatch at ({format_subset(left)}, {format_subset(right)})")
-            if any(c <= 0 for _, c in expansion.coeffs):
-                res.fail(f"nonpositive coefficient at ({format_subset(left)}, "
-                         f"{format_subset(right)})")
-            weighted = sum(c * class_sizes[m] for m, c in expansion.coeffs)
-            if weighted != class_sizes[left] * class_sizes[right]:
-                res.fail(f"counting identity failed at ({format_subset(left)}, "
-                         f"{format_subset(right)})")
+    for (left, right), (sizes, _, _, coeffs) in zip(_pairs(sys), swept):
+        res.checked += 1
+        expansion = AlgebraElement.make("Y", sizes)
+        oracle = (convolution_oracle(sys, left, right) if coeffs is None
+                  else AlgebraElement("Y", coeffs))
+        if expansion != oracle:
+            res.fail(f"oracle mismatch at ({format_subset(left)}, {format_subset(right)})")
+        if any(c <= 0 for _, c in expansion.coeffs):
+            res.fail(f"nonpositive coefficient at ({format_subset(left)}, "
+                     f"{format_subset(right)})")
+        weighted = sum(c * class_sizes[m] for m, c in expansion.coeffs)
+        if weighted != class_sizes[left] * class_sizes[right]:
+            res.fail(f"counting identity failed at ({format_subset(left)}, "
+                     f"{format_subset(right)})")
+    rng = random.Random(0)
     for _ in range(25):
         res.checked += 1
         coeffs = {m: rng.randint(-9, 9) for m in iter_subsets(sys.rank)}
@@ -412,27 +395,30 @@ def _check_algebra(sys: CoxeterSystem, rng: random.Random,
     return res
 
 
-def _check_monodromy(sys: CoxeterSystem, res: CheckResult) -> CheckResult:
-    """This check ran inside the covering sweep and filled in `res`: every
-    class is the target of a non-empty instance (the empty set times it),
-    so `monodromy_report` has lifted the relation loops of every class."""
+def _check_monodromy(sys: CoxeterSystem, swept: list[PairResult]) -> CheckResult:
+    """`monodromy_report` ran inside the covering sweep, on every non-empty
+    instance, and raised on any violation, among them a braid loop acting
+    with an order other than 1 or 2; one check per instance, so one per
+    fiber size kept.  Every class is the target of a non-empty instance
+    (the empty set times it), so the relation loops of every class were
+    lifted."""
+    res = CheckResult("monodromy")
+    res.checked = sum(len(sizes) for sizes, _, _, _ in swept)
     return res
 
 
 def run_invariant_sweep(sys: CoxeterSystem) -> list[CheckResult]:
     """All seven checks, in their printed order.  The covering, algebra and
     monodromy checks share one streamed pass over the covering instances,
-    run inside `_check_coverings`."""
-    rng = random.Random(0)
-    fiber_sizes: FiberSizes = {}
-    oracles: Oracles = {}
-    monodromy = CheckResult("monodromy")
+    run inside `_check_coverings`, which leaves one record per product in
+    `swept` for the other two."""
+    swept: list[PairResult] = []
     return [
         _check_cayley(sys),
         _check_recoil_descent(sys),
         _check_class_edges(sys),
         _check_classes(sys),
-        _check_coverings(sys, fiber_sizes, oracles, monodromy),
-        _check_algebra(sys, rng, fiber_sizes, oracles),
-        _check_monodromy(sys, monodromy),
+        _check_coverings(sys, swept),
+        _check_algebra(sys, swept),
+        _check_monodromy(sys, swept),
     ]

@@ -70,9 +70,6 @@ class WordEngine:
                     return w[:q] + w[q + 2 :]
         return None
 
-    def is_reduced(self, word: tuple[int, ...]) -> bool:
-        return self._repeat_deletion(self.braid_closure(word)) is None
-
     def canonical(self, word: tuple[int, ...]) -> tuple[int, ...]:
         """Lexicographically least reduced word of the element `word` spells.
 

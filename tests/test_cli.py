@@ -42,6 +42,16 @@ def run_cli(capsys, *argv: str) -> tuple[int, str]:
     return code, out
 
 
+def group_arg(name: str, tmp_path) -> str:
+    """`--group` for `name`, with B3 and H3 written to a matrix file."""
+    matrix = {"B3": B3_MATRIX, "H3": H3_MATRIX}.get(name)
+    if matrix is None:
+        return name
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"rank": 3, "m": matrix}))
+    return f"matrix:{path}"
+
+
 def test_table_text(capsys):
     code, out = run_cli(capsys, "table", "--group", "S4", "--left", "1", "--right", "3")
     assert code == 0
@@ -189,12 +199,53 @@ products vs oracle: ok (41 checks)
 monodromy: ok (28 checks)
 all checks passed (599 total)
 """,
+    "S5": """group S5: 120 elements, rank 4
+cayley tables: ok (962 checks)
+recoils vs descents: ok (120 checks)
+class-edge criteria: ok (480 checks)
+recoil classes: ok (16 checks)
+covering axioms: ok (36192 checks)
+products vs oracle: ok (281 checks)
+monodromy: ok (1632 checks)
+all checks passed (39683 total)
+""",
+    "I12": """group I12: 24 elements, rank 2
+cayley tables: ok (98 checks)
+recoils vs descents: ok (24 checks)
+class-edge criteria: ok (48 checks)
+recoil classes: ok (4 checks)
+covering axioms: ok (988 checks)
+products vs oracle: ok (41 checks)
+monodromy: ok (28 checks)
+all checks passed (1231 total)
+""",
+    "B3": """group matrix(rank=3): 48 elements, rank 3
+cayley tables: ok (290 checks)
+recoils vs descents: ok (48 checks)
+class-edge criteria: ok (144 checks)
+recoil classes: ok (8 checks)
+covering axioms: ok (4856 checks)
+products vs oracle: ok (89 checks)
+monodromy: ok (248 checks)
+all checks passed (5683 total)
+""",
+    "H3": """group matrix(rank=3): 120 elements, rank 3
+cayley tables: ok (722 checks)
+recoils vs descents: ok (120 checks)
+class-edge criteria: ok (360 checks)
+recoil classes: ok (8 checks)
+covering axioms: ok (34852 checks)
+products vs oracle: ok (89 checks)
+monodromy: ok (292 checks)
+all checks passed (36443 total)
+""",
 }
 
 
-def test_verify_groups(capsys):
+def test_verify_groups(tmp_path, capsys):
+    # S5, I12, B3 and H3 are the benchmark's `verify` groups
     for group, expected in VERIFY_OUTPUT.items():
-        code, out = run_cli(capsys, "verify", "--group", group)
+        code, out = run_cli(capsys, "verify", "--group", group_arg(group, tmp_path))
         assert code == 0
         assert out == expected
 
@@ -415,13 +466,8 @@ TABLE_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(TABLE_DIGESTS))
 def test_table_json_bytes_pinned(tmp_path, capsys, name):
-    group = name
-    matrix = {"B3": B3_MATRIX, "H3": H3_MATRIX}.get(name)
-    if matrix is not None:
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"rank": 3, "m": matrix}))
-        group = f"matrix:{path}"
-    code, out = run_cli(capsys, "table", "--group", group, "--format", "json")
+    code, out = run_cli(capsys, "table", "--group", group_arg(name, tmp_path),
+                        "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[name]
 

@@ -128,9 +128,6 @@ class _OpenWalkSystem:
     right_cayley = [[1, 3], [0, 2], [3, 1], [2, 1]]
     recoils = [0, 0, 0, 0]
 
-    def __init__(self):
-        self._loop_cache = {}
-
 
 def test_alternating_walk_that_does_not_close_is_refused():
     sys_ = _OpenWalkSystem()

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from coxcover import verify
+from coxcover import algebra, monodromy, verify
 from coxcover.cli import main
 from coxcover.errors import ClassInconstant, InvariantViolation
 from coxcover.gensets import format_subset, iter_subsets
@@ -83,6 +83,36 @@ def test_output_does_not_depend_on_the_worker_count(name, tmp_path, capsys, monk
         # in the algebra check
         assert len(calls) == 4 ** rank
         assert len(set(calls)) == count
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("module, builder", [(monodromy, "relation_loops"),
+                                             (algebra, "_tree_links")],
+                         ids=["relation-loops", "tree-links"])
+def test_a_class_that_cannot_be_built_gives_the_serial_error(module, builder, s4, capsys,
+                                                             monkeypatch, tally):
+    # each process builds a class's loops and tree links on first use, so
+    # the first pair that needs the refused class raises, in pair order;
+    # {1, 2} is first needed at position 3, a worker's share with 2 CPUs
+    # and the parent's with 3
+    build, refused = getattr(module, builder), 0b011
+
+    def refusing(sys_, cls):
+        if cls.subset == refused:
+            tally.add()
+            raise InvariantViolation(f"injected failure in class {format_subset(refused)}")
+        return build(sys_, cls)
+
+    monkeypatch.setattr(module, builder, refusing)
+    set_cpus(monkeypatch, 1)
+    serial = run_verify(capsys, "S4")
+    assert serial == (1, "group S4: 24 elements, rank 3\n",
+                      "invariant failure: injected failure in class {1,2}\n")
+    for count in (2, 3):
+        set_cpus(monkeypatch, count)
+        seen = len(tally.pids())
+        assert run_verify(capsys, "S4") == serial
+        assert any(pid != os.getpid() for pid in tally.pids()[seen:])
         assert_no_child_left()
 
 

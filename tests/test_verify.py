@@ -52,6 +52,11 @@ def test_sweep_lifts_each_in_class_step_exactly_once(group, request, monkeypatch
     results = {r.name: r.checked for r in run_invariant_sweep(sys_)}
     calls = len(tally.pids())
     non_empty = results["monodromy"]
+    # one monodromy check per non-zero structure constant, counted apart
+    # from the sweep's records
+    assert non_empty == sum(len(algebra.product_expand(sys_, left, right).coeffs)
+                            for left in iter_subsets(sys_.rank)
+                            for right in iter_subsets(sys_.rank))
     in_class_steps = results["covering axioms"] - non_empty  # one check per instance besides
     assert in_class_steps > 0
     assert calls == in_class_steps
