@@ -130,7 +130,7 @@ def cmd_table(args) -> int:
         print(json.dumps(data))
         return EXIT_OK
     for left, right, rows in products:
-        print(f"Y_{_braced(one_based(left))} * Y_{_braced(one_based(right))} = "
+        print(f"Y_{format_subset(left)} * Y_{format_subset(right)} = "
               f"{_format_expansion(rows)}")
         for row in rows:
             print(f"  K={_braced(row.target)} a={row.constant} lambda={list(row.partition)} "

@@ -15,12 +15,11 @@ and commuting loops always act trivially; braid loops act with order 1 or
 2; polygon orders are measured and reported without asserting a bound.
 
 A square (s, s) is the relation s^2 = 1: its lift from u ends at u exactly
-when lifts[s][lifts[s][u]] == u.  `monodromy_report` therefore confirms
-every square of an instance at once, by checking that the lift table is an
-involution on each square's step, with no -1, from every point over its
-base, and walks only the other loops through `loop_action`.  When that
-check fails it walks every loop, squares included, so the error raised and
-its witness are the per-loop walk's.
+when lifts[s][lifts[s][u]] == u.  `monodromy_report` walks the loops once,
+in order, and passes a square without `loop_action` when the lift table
+is an involution on its step, with no -1, from every point over its base;
+any other square goes through `loop_action`, so an error raised and its
+witness are those of the walk over every loop.
 """
 
 from __future__ import annotations
@@ -60,8 +59,8 @@ def relation_loops(sys: CoxeterSystem, cls: RecoilClass) -> list[Loop]:
     stops at the first step that leaves the class or drops below the
     member, so a loop is kept at its minimum only: one square per class
     edge, at its smaller end.  Loops come out by base, then by word.
-    Kept on the class, next to the loop counts by kind, the squares and
-    the other loops, which `monodromy_report` reads.
+    Kept on the class, next to the loop counts by kind, which
+    `monodromy_report` reads.
     """
     if cls.loops is not None:
         return cls.loops[0]
@@ -87,9 +86,7 @@ def relation_loops(sys: CoxeterSystem, cls: RecoilClass) -> list[Loop]:
     counts = {"square": 0, "commuting": 0, "braid": 0, "polygon": 0}
     for loop in loops:
         counts[loop.kind] += 1
-    squares = [(l.base, l.word[0]) for l in loops if l.kind == "square"]
-    others = [l for l in loops if l.kind != "square"]
-    cls.loops = loops, counts, squares, others
+    cls.loops = loops, counts
     return loops
 
 
@@ -160,9 +157,11 @@ def monodromy_report(instance: CoveringInstance) -> MonodromyReport:
 
     Squares and commuting loops are required to act trivially and braid
     loops with order 1 or 2 (OrderViolation otherwise; neither can happen).
-    The squares are confirmed all at once, by `_squares_close`; only when
-    that fails is every loop walked through `loop_action`, squares
-    included, so the error and its witness are the per-loop walk's.
+    The loops are walked once, in order.  A square (s, s) whose lift table
+    row is an involution, with no -1, on every point over its base lifts
+    to the identity and is passed; every other loop, a square that fails
+    that test included, goes through `loop_action`, so the first failing
+    loop raises the error and witness of the walk over every loop.
     When the class carries no braid or polygon loop at all, the instance
     must fall apart into disjoint copies of the target class: the partition
     is all ones and each component projects isomorphically.
@@ -170,11 +169,20 @@ def monodromy_report(instance: CoveringInstance) -> MonodromyReport:
     sys = instance.system
     cls = recoil_class(sys, instance.target)
     relation_loops(sys, cls)
-    loops, counts, squares, others = cls.loops
+    loops, counts = cls.loops
     braid_orders: dict[int, int] = {}
     polygon_orders: dict[int, int] = {}
     if loops and not instance.is_empty:
-        for loop in others if _squares_close(instance, squares) else loops:
+        lifts, projection, fibers = instance.lift_table(), instance.projection, instance.fibers
+        for loop in loops:
+            if loop.kind == "square":
+                row, base = lifts[loop.word[0]], loop.base
+                for u in fibers[base]:
+                    v = row[u]
+                    if v < 0 or row[v] != u or projection[u] != base:
+                        break
+                else:
+                    continue  # s^2 = 1 lifts to the identity of the fiber
             action = loop_action(instance, loop)
             if loop.kind in ("square", "commuting"):
                 if action.order != 1:
@@ -204,21 +212,6 @@ def monodromy_report(instance: CoveringInstance) -> MonodromyReport:
     if no_braid and not instance.is_empty:
         _check_trivial_cover(instance, report)
     return report
-
-
-def _squares_close(instance: CoveringInstance, squares: list[tuple[int, int]]) -> bool:
-    """True when every square loop, given as (base, s), lifts to the
-    identity of its fiber, as `loop_action` would find it: the lift table
-    is an involution on the step, lifts[s][lifts[s][u]] == u with no -1,
-    from every point u over the base, and u lies over the base."""
-    lifts, projection, fibers = instance.lift_table(), instance.projection, instance.fibers
-    for base, s in squares:
-        row = lifts[s]
-        for u in fibers[base]:
-            v = row[u]
-            if v < 0 or row[v] != u or projection[u] != base:
-                return False
-    return True
 
 
 def _check_trivial_cover(instance: CoveringInstance, report: MonodromyReport) -> None:

@@ -29,7 +29,7 @@ class RecoilClass:
         self.alpha = alpha            # weak-order minimum (element index)
         self.beta = beta              # weak-order maximum (element index)
         self.tree_links = None        # filled by the convolution oracle on first use
-        self.loops = None             # filled by `relation_loops` on first use, split by kind
+        self.loops = None             # (loops, counts by kind), filled by `relation_loops`
 
     def __len__(self) -> int:
         return len(self.members)

@@ -16,17 +16,19 @@ and oracle coefficients.  The algebra check compares the sizes with the
 oracle; an oracle that raised in the sweep is called again by that check,
 in product order, so its error comes where a serial check raises it.
 The monodromy check counts one check per instance, so one per fiber
-size.  The covering axioms are one local-bijection test per vertex.  The lift
-dichotomy fills the instance's lift table, which lifts each in-class step
-once by `unique_lift_edge`, and checks every entry against a brute force
-that tries both refactorizations by multiplication and shares no code with
-`unique_lift_edge`; the monodromy check then reads its loops off that
-table, the squares as one involution test and the other loops walked by
-`loop_action`, so no step is lifted twice.  `monodromy_report` raises on
-any monodromy violation, a braid loop of order above 2 included, from
-inside that sweep, before the algebra check has run, so it can pre-empt an
-error that check would raise; either way the CLI prints only the group
-header and one `invariant failure:` line, and exits 1.
+size.  The covering axioms are one local-bijection test per vertex.  The
+lift dichotomy fills the instance's lift table, which lifts each in-class
+step once by `unique_lift_edge`, and checks every entry against a brute
+force that tries both refactorizations by multiplication and shares no
+code with `unique_lift_edge`; its conjugates rho s rho^-1 are those the
+class-edge check multiplied out, one list that forked workers inherit.
+The monodromy check then reads its loops off that table in one walk:
+each square whose step is an involution there passes, and the other loops
+go through `loop_action`, so no step is lifted twice.  `monodromy_report`
+raises on any monodromy violation, a braid loop of order above 2
+included, from inside that sweep, before the algebra check has run, so it
+can pre-empt an error that check would raise; either way the CLI prints
+only the group header and one `invariant failure:` line, and exits 1.
 
 The products (I, J) of that sweep are independent, so the parent computes
 one share of them and forks one worker for each further CPU in its
@@ -51,11 +53,7 @@ import threading
 
 from .algebra import AlgebraElement, convolution_oracle, x_from_y, y_from_x
 from .coxeter import CoxeterSystem, positional_recoils
-from .covering import (
-    iter_fibered_graphs,
-    multiplicity_partition,
-    verify_covering,
-)
+from .covering import iter_fibered_graphs, verify_covering
 from .gensets import format_subset, iter_subsets
 from .monodromy import monodromy_report
 from .recoil import (
@@ -70,8 +68,8 @@ from .recoil import (
 
 
 Coeffs = tuple[tuple[int, int], ...]  # an AlgebraElement's (subset, coefficient) pairs
-# rho*rank + s -> (does rho*s stay in rho's class, rho s rho^-1 if simple)
-Facts = dict[int, tuple[bool, int | None]]
+# w*rank + s -> w s w^-1 if it is a simple generator, else None
+Conjugates = list[int | None]
 
 
 class CheckResult:
@@ -121,13 +119,16 @@ def _check_recoil_descent(sys: CoxeterSystem) -> CheckResult:
     return res
 
 
-def _check_class_edges(sys: CoxeterSystem) -> CheckResult:
+def _check_class_edges(sys: CoxeterSystem, conjugates: Conjugates) -> CheckResult:
+    """Appends each w s w^-1 it multiplies out to `conjugates`, for the
+    lift dichotomy."""
     res = CheckResult("class-edge criteria")
     for w in range(len(sys.elements)):
         for s in range(sys.rank):
             res.checked += 1
             by_recoils = same_class_edge_index(sys, w, s)
             conj = conjugated_generator(sys, w, s)
+            conjugates.append(conj)
             if by_recoils != (conj is None):
                 res.fail(f"conjugation criterion differs at {sys.format_index(w)}, s{s + 1}")
             if sys.kind == "symmetric" and by_recoils != positional_same_class(sys, w, s):
@@ -185,22 +186,23 @@ def _pairs(sys: CoxeterSystem) -> list[tuple[int, int]]:
     return [(left, right) for left in iter_subsets(sys.rank) for right in iter_subsets(sys.rank)]
 
 
-def _check_coverings(sys: CoxeterSystem, swept: list[PairResult]) -> CheckResult:
+def _check_coverings(sys: CoxeterSystem, conjugates: Conjugates,
+                     swept: list[PairResult]) -> CheckResult:
     """The one pass over instances: every non-empty instance of every
     product is built once and handed to the covering-axiom check, the lift
     dichotomy and `monodromy_report`.  Each product's record goes into
     `swept`, in pair order, for the algebra and monodromy checks.
     `_sweep` shares the products out among forked workers."""
     res = CheckResult("covering axioms")
-    swept += _sweep(sys, _pairs(sys))
+    swept += _sweep(sys, conjugates, _pairs(sys))
     for _, checked, failures, _ in swept:
         res.checked += checked
         res.failures += failures
     return res
 
 
-def _sweep_pair(sys: CoxeterSystem, left: int, right: int,
-                facts: Facts) -> PairResult:
+def _sweep_pair(sys: CoxeterSystem, conjugates: Conjugates,
+                left: int, right: int) -> PairResult:
     """Every non-empty instance of the product (left, right), built and
     checked once, and the product's convolution oracle.  An oracle that
     raises gives None: `_check_algebra` calls it again, so its error comes
@@ -215,11 +217,7 @@ def _sweep_pair(sys: CoxeterSystem, left: int, right: int,
             res.fail(f"covering axioms failed for ({format_subset(left)}, "
                      f"{format_subset(right)}, {format_subset(target)}): "
                      f"{report.violations[:1]}")
-        if sum(multiplicity_partition(inst)) != inst.fiber_size:
-            res.fail(f"partition does not sum to the constant for "
-                     f"({format_subset(left)}, {format_subset(right)}, "
-                     f"{format_subset(target)})")
-        _check_lift_dichotomy(sys, inst, res, facts)
+        _check_lift_dichotomy(sys, inst, res, conjugates)
         monodromy_report(inst)  # raises on any monodromy violation
     try:
         oracle = convolution_oracle(sys, left, right).coeffs
@@ -228,7 +226,8 @@ def _sweep_pair(sys: CoxeterSystem, left: int, right: int,
     return sizes, res.checked, res.failures, oracle
 
 
-def _sweep(sys: CoxeterSystem, pairs: list[tuple[int, int]]) -> list[PairResult]:
+def _sweep(sys: CoxeterSystem, conjugates: Conjugates,
+           pairs: list[tuple[int, int]]) -> list[PairResult]:
     """`_sweep_pair` of every pair, in pair order.  The parent computes
     the first share of the pairs and one forked worker each further share.
     A share stops at its first raising pair; every pair left without a
@@ -243,10 +242,10 @@ def _sweep(sys: CoxeterSystem, pairs: list[tuple[int, int]]) -> list[PairResult]
     try:
         for share in shares[1:]:
             try:
-                workers.append(_fork_worker(sys, pairs, share))
+                workers.append(_fork_worker(sys, conjugates, pairs, share))
             except OSError:
                 break  # out of processes or pipes: the shares left are computed below
-        for pos, result in zip(shares[0], _sweep_share(sys, pairs, shares[0])):
+        for pos, result in zip(shares[0], _sweep_share(sys, conjugates, pairs, shares[0])):
             results[pos] = result
         for _, pipe, share in workers:
             for pos, result in zip(share, _decode(pipe.read(), len(share))):
@@ -260,8 +259,7 @@ def _sweep(sys: CoxeterSystem, pairs: list[tuple[int, int]]) -> list[PairResult]
         for pid, pipe, _ in workers:
             pipe.close()
             os.waitpid(pid, 0)
-    facts: Facts = {}
-    return [result if result is not None else _sweep_pair(sys, *pairs[pos], facts)
+    return [result if result is not None else _sweep_pair(sys, conjugates, *pairs[pos])
             for pos, result in enumerate(results)]
 
 
@@ -283,21 +281,21 @@ def _shares(total: int, count: int) -> list[range]:
     return [range(first, total, count) for first in range(count)]
 
 
-def _sweep_share(sys: CoxeterSystem, pairs: list[tuple[int, int]],
-                 share: range) -> list[PairResult]:
+def _sweep_share(sys: CoxeterSystem, conjugates: Conjugates,
+                 pairs: list[tuple[int, int]], share: range) -> list[PairResult]:
     """The results of a share's pairs, in order, up to its first raising
     pair, which `_sweep` computes again."""
     done: list[PairResult] = []
-    facts: Facts = {}
     try:
         for pos in share:
-            done.append(_sweep_pair(sys, *pairs[pos], facts))
+            done.append(_sweep_pair(sys, conjugates, *pairs[pos]))
     except Exception:
         pass
     return done
 
 
-def _fork_worker(sys: CoxeterSystem, pairs: list[tuple[int, int]], share: range):
+def _fork_worker(sys: CoxeterSystem, conjugates: Conjugates,
+                 pairs: list[tuple[int, int]], share: range):
     """Fork a worker for `share`: it sends `_sweep_share` through a pipe
     with `marshal` and ends through `os._exit`, never writing to or
     flushing the stdio buffers it inherited."""
@@ -312,7 +310,7 @@ def _fork_worker(sys: CoxeterSystem, pairs: list[tuple[int, int]], share: range)
         try:
             os.close(read)
             with open(write, "wb") as pipe:
-                marshal.dump(_sweep_share(sys, pairs, share), pipe)
+                marshal.dump(_sweep_share(sys, conjugates, pairs, share), pipe)
         finally:
             os._exit(0)
     os.close(write)
@@ -329,14 +327,13 @@ def _decode(data: bytes, size: int) -> list[PairResult]:
 
 
 def _check_lift_dichotomy(sys, inst, res: CheckResult,
-                          facts: Facts) -> None:
+                          conjugates: Conjugates) -> None:
     """Both candidate factorizations of every in-class step, brute-forced:
     exactly one must stay in its class, and the instance's lift table must
     hold the vertex it gives, (pi, rho*s) or (pi*t, rho) with t = rho s
-    rho^-1.  Whether rho*s stays in rho's class, and the conjugate of s by
-    rho, multiplied out, depend on (rho, s) alone, so they are found once
-    per pair and kept in `facts` under rho*rank + s; the lift table reads
-    none of them."""
+    rho^-1.  The conjugate t is read from `conjugates[rho*rank + s]`,
+    which `_check_class_edges` multiplied out; the lift table reads no
+    conjugate."""
     rank, right, recoils = sys.rank, sys.right_cayley, sys.recoils
     vertices, lifts = inst.vertices, inst.lift_table()
     checked = 0
@@ -347,12 +344,8 @@ def _check_lift_dichotomy(sys, inst, res: CheckResult,
             if recoils[steps[s]] != rec_sigma:
                 continue  # not an in-class step
             checked += 1
-            key = r * rank + s
-            if key in facts:
-                right_ok, conj = facts[key]
-            else:
-                right_ok, conj = facts[key] = (recoils[right[r][s]] == rec_r,
-                                               conjugated_generator(sys, r, s))
+            right_ok = recoils[right[r][s]] == rec_r
+            conj = conjugates[r * rank + s]
             left_ok = conj is not None and recoils[right[p][conj]] == rec_p
             if right_ok == left_ok:
                 res.fail(f"lift dichotomy failed at {start} step s{s + 1}")
@@ -411,14 +404,16 @@ def run_invariant_sweep(sys: CoxeterSystem) -> list[CheckResult]:
     """All seven checks, in their printed order.  The covering, algebra and
     monodromy checks share one streamed pass over the covering instances,
     run inside `_check_coverings`, which leaves one record per product in
-    `swept` for the other two."""
+    `swept` for the other two.  The lift dichotomy in that pass reads the
+    conjugates the class-edge check multiplied out."""
     swept: list[PairResult] = []
+    conjugates: Conjugates = []
     return [
         _check_cayley(sys),
         _check_recoil_descent(sys),
-        _check_class_edges(sys),
+        _check_class_edges(sys, conjugates),
         _check_classes(sys),
-        _check_coverings(sys, swept),
+        _check_coverings(sys, conjugates, swept),
         _check_algebra(sys, swept),
         _check_monodromy(sys, swept),
     ]

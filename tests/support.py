@@ -285,10 +285,10 @@ def reference_loop_action(instance, loop: Loop) -> FiberAction:
 
 
 def reference_monodromy_report(instance) -> MonodromyReport:
-    """`monodromy_report` without its square-loop shortcut or the check of
-    a trivial cover: every relation loop of the target class, squares
-    included, walks the lift table through `loop_action`, in loop order,
-    and raises as that walk does."""
+    """`monodromy_report` without its involution test for squares or the
+    check of a trivial cover: every relation loop of the target class,
+    squares included, walks the lift table through `loop_action`, in loop
+    order, and raises as that walk does."""
     sys = instance.system
     loops = relation_loops(sys, recoil_class(sys, instance.target))
     kinds = Counter(loop.kind for loop in loops)

@@ -13,6 +13,7 @@ from coxcover import (
     component_isomorphisms,
     iter_fibered_graphs,
     loop_action,
+    monodromy,
     monodromy_report,
     recoil_class,
     relation_loops,
@@ -306,10 +307,37 @@ def test_monodromy_report_matches_the_walk_over_every_loop(group, request):
     assert reports > 0
 
 
-def corrupted_square(inst):
-    """One of the instance's square loops, its generator and the two
-    points of its base fiber, ready to be corrupted."""
-    loop = next(l for l in relation_loops(inst.system, inst.target_class) if l.kind == "square")
+@pytest.mark.parametrize("group", ["s4", "b3", "h3"])
+def test_monodromy_report_walks_only_the_loops_that_are_not_squares(group, request,
+                                                                    monkeypatch):
+    # a square whose step is an involution on its base fiber acts
+    # trivially; only the other loops are lifted through `loop_action`
+    sys_ = request.getfixturevalue(group)
+    walked: list[Loop] = []
+
+    def counting(instance, loop):
+        walked.append(loop)
+        return loop_action(instance, loop)
+
+    monkeypatch.setattr(monodromy, "loop_action", counting)
+    reports = 0
+    for left in iter_subsets(sys_.rank):
+        for right in iter_subsets(sys_.rank):
+            for _, inst in iter_fibered_graphs(sys_, left, right):
+                walked.clear()
+                monodromy_report(inst)
+                loops = relation_loops(sys_, inst.target_class)
+                assert walked == [l for l in loops if l.kind != "square"]
+                reports += 1
+    assert reports > 0
+
+
+def corrupted_square(inst, last=False):
+    """The instance's first square loop (its last with `last`), its
+    generator and the two points of its base fiber, ready to be
+    corrupted."""
+    squares = [l for l in relation_loops(inst.system, inst.target_class) if l.kind == "square"]
+    loop = squares[-1 if last else 0]
     a, b = inst.fibers[loop.base]
     return loop, loop.word[0], a, b
 
@@ -333,6 +361,21 @@ def test_monodromy_report_refuses_a_square_that_swaps_fiber_points(s5):
     lifts[s][lifts[s][a]], lifts[s][lifts[s][b]] = b, a
     assert loop_action(inst, loop).permutation == {a: b, b: a}
     assert_raises_as_the_walk(inst, OrderViolation, "^square loop at .* acted with order 2$")
+
+
+def test_monodromy_report_walks_the_braid_loops_before_a_later_failing_square(s5):
+    # the class of {1,3} carries two braid loops, both before its last
+    # square; swapping that square's fiber points fails only at the end
+    # of the walk
+    inst = build_fibered_graph(s5, *FLAGSHIP)
+    loops = relation_loops(s5, inst.target_class)
+    loop, s, a, b = corrupted_square(inst, last=True)
+    assert max(i for i, l in enumerate(loops) if l.kind == "braid") < loops.index(loop)
+    lifts = inst.lift_table()
+    lifts[s][lifts[s][a]], lifts[s][lifts[s][b]] = b, a
+    assert loop_action(inst, loop).permutation == {a: b, b: a}
+    assert_raises_as_the_walk(inst, OrderViolation, "^square loop at %s acted with order 2$"
+                              % s5.format_index(loop.base))
 
 
 def test_monodromy_report_refuses_a_lift_table_that_merges_fiber_points(s5):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from coxcover import (
@@ -76,8 +78,11 @@ def test_lift_dichotomy_does_not_trust_unique_lift_edge(group, start, request, m
 
 def test_lift_dichotomy_checks_the_lift_table(s4):
     inst = build_fibered_graph(s4, subset(2, 3), subset(1, 3), subset(1, 3))
+    conjugates = []
+    assert verify._check_class_edges(s4, conjugates).ok
+    assert len(conjugates) == len(s4.elements) * s4.rank
     clean = CheckResult("clean")
-    verify._check_lift_dichotomy(s4, inst, clean, {})
+    verify._check_lift_dichotomy(s4, inst, clean, conjugates)
     assert clean.ok and clean.checked > 0
     lifts = inst.lift_table()
     s, vid = next((s, vid) for s, row in enumerate(lifts)
@@ -86,6 +91,28 @@ def test_lift_dichotomy_checks_the_lift_table(s4):
     for wrong in (vid, -1):  # a lift always moves; -1 refuses an in-class step
         lifts[s][vid] = wrong
         res = CheckResult("tampered")
-        verify._check_lift_dichotomy(s4, inst, res, {})
+        verify._check_lift_dichotomy(s4, inst, res, conjugates)
         assert res.failures == [witness]
         assert res.checked == clean.checked
+
+
+@pytest.mark.parametrize("group", ["s4", "i6"])
+def test_sweep_multiplies_out_each_conjugate_once(group, request, monkeypatch, tally):
+    # the class-edge check multiplies out every w s w^-1 once; the lift
+    # dichotomy, in every process of the sweep, reads them from that list
+    sys_ = request.getfixturevalue(group)
+    conjugate = verify.conjugated_generator
+
+    def counting(*args):
+        tally.add()
+        return conjugate(*args)
+
+    monkeypatch.setattr(verify, "conjugated_generator", counting)
+    for count in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+        seen = len(tally.pids())
+        assert all(r.ok for r in run_invariant_sweep(sys_))
+        calls = tally.pids()[seen:]
+        assert len(calls) == len(sys_.elements) * sys_.rank
+        assert set(calls) == {os.getpid()}
