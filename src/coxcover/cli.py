@@ -3,7 +3,7 @@
 Groups are named "S<n>" (symmetric), "I<m>" (dihedral of order 2m) or
 "matrix:<path>" where the file holds {"rank": r, "m": [[...]], "element_cap": c}.
 Subsets are comma-separated 1-based generator indices; the empty string is
-the empty set, and s/t alias 1/2 for dihedral groups.
+the empty set, and s/t alias 1/2 in every group.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 element cap
 exceeded, 141 (128 + SIGPIPE) when the reader closes stdout early, as in
@@ -13,10 +13,11 @@ A process ends in `run`: it flushes stdout, then stderr, and leaves
 through `os._exit`, skipping interpreter finalization (freeing the Cayley
 tables and caches one object at a time); atexit handlers registered by
 other code therefore do not run.  No child process outlives it: `verify`
-reaps the workers its covering sweep forks before the sweep returns or
-raises, so before `os._exit`.  Under a tracer or profiler (a debugger,
-coverage, `python -m cProfile`) `run` returns the exit code instead, so
-they can write their results at exit.  `main` never exits the process.
+sweeps through `fanout.fan_out`, which reaps every worker it forks before
+it returns or raises, so before `os._exit`.  Under a tracer or profiler
+(a debugger, coverage, `python -m cProfile`) `run` returns the exit code
+instead, so they can write their results at exit.  `main` never exits
+the process.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Bit ``i`` of a mask stands for the generator with 0-based index ``i``.
 All input and output uses 1-based generator numbers ("1,3" means the
-first and third generator); the dihedral aliases ``s`` and ``t`` are
-accepted for 1 and 2.
+first and third generator); the aliases ``s`` and ``t``, named for the
+dihedral generators, are accepted for 1 and 2 in every group.
 
 >>> from_one_based((1, 3))
 5

@@ -31,7 +31,11 @@ from .covering import CoveringInstance, multiplicity_partition
 from .errors import InvariantViolation, NotAClassEdge, OrderViolation
 from .gensets import one_based
 from .recoil import RecoilClass, recoil_class
-from .words import alternating
+
+
+def alternating(a: int, b: int, count: int) -> tuple[int, ...]:
+    """The word a b a b ... of the given length."""
+    return tuple(a if i % 2 == 0 else b for i in range(count))
 
 
 class Loop(NamedTuple):

@@ -10,50 +10,34 @@ The covering-axiom, lift-dichotomy and monodromy checks share one streamed
 sweep over the covering instances: every non-empty instance of every
 product is built once, handed to all three, and dropped before the next;
 only its fiber size is kept.  Each product's convolution oracle runs in
-the sweep too, after its instances.  The sweep leaves one record per
-product, in product order: its fiber sizes, covering checks, witnesses
-and oracle coefficients.  The algebra check compares the sizes with the
-oracle; an oracle that raised in the sweep is called again by that check,
-in product order, so its error comes where a serial check raises it.
-The monodromy check counts one check per instance, so one per fiber
-size.  The covering axioms are one local-bijection test per vertex.  The
+the sweep too, after its instances, and the algebra check compares the
+two.  The covering axioms are one local-bijection test per vertex.  The
 lift dichotomy fills the instance's lift table, which lifts each in-class
 step once by `unique_lift_edge`, and checks every entry against a brute
 force that tries both refactorizations by multiplication and shares no
-code with `unique_lift_edge`; its conjugates rho s rho^-1 are those the
-class-edge check multiplied out, one list that forked workers inherit.
-The monodromy check then reads its loops off that table in one walk:
-each square whose step is an involution there passes, and the other loops
-go through `loop_action`, so no step is lifted twice.  `monodromy_report`
-raises on any monodromy violation, a braid loop of order above 2
-included, from inside that sweep, before the algebra check has run, so it
-can pre-empt an error that check would raise; either way the CLI prints
-only the group header and one `invariant failure:` line, and exits 1.
+code with it; its conjugates rho s rho^-1 are those the class-edge check
+multiplied out.  The
+monodromy check reads its loops off that table, so no step is lifted
+twice, and counts one check per instance.
 
-The products (I, J) of that sweep are independent, so the parent computes
-one share of them and forks one worker for each further CPU in its
-affinity mask (none with one CPU, without `os.fork`, or while another
-thread runs).  A worker sends its per-product checks, witnesses, fiber
-sizes and oracle coefficients back through a pipe with `marshal` and ends
-through `os._exit`.  The parent merges them in product order and computes
-again whatever a worker did not deliver, so the counts, the witnesses and
-the first error raised are those of a serial sweep, whatever the worker
-count.  Every worker is reaped before the sweep returns or raises.  Each
-process builds the relation loops and tree links its pairs need, on first
-use, so the first pair that needs a class that cannot be built raises, in
-pair order.
+One error rule: whatever raises for a product in the sweep (a monodromy
+violation, a braid loop of order above 2 included, a fiber that is not
+constant, a class that cannot be built, or the product's oracle) raises
+at that product, in product order, before the algebra check runs; the
+CLI then prints the group header and one `invariant failure:` line, and
+exits 1.  `fan_out` computes the products on every CPU, with the results
+and the first error of a serial sweep.
 """
 
 from __future__ import annotations
 
-import marshal
-import os
 import random
-import threading
+from functools import partial
 
 from .algebra import AlgebraElement, convolution_oracle, x_from_y, y_from_x
 from .coxeter import CoxeterSystem, positional_recoils
 from .covering import iter_fibered_graphs, verify_covering
+from .fanout import fan_out
 from .gensets import format_subset, iter_subsets
 from .monodromy import monodromy_report
 from .recoil import (
@@ -176,9 +160,8 @@ def _check_classes(sys: CoxeterSystem) -> CheckResult:
 
 
 # the fiber sizes by target, the covering checks and witnesses and the
-# oracle's coefficients (None where it raised) of one product, as plain
-# data that `marshal` can send
-PairResult = tuple[dict[int, int], int, list[str], Coeffs | None]
+# oracle's coefficients of one product, as plain data that `marshal` can send
+PairResult = tuple[dict[int, int], int, list[str], Coeffs]
 
 
 def _pairs(sys: CoxeterSystem) -> list[tuple[int, int]]:
@@ -188,13 +171,12 @@ def _pairs(sys: CoxeterSystem) -> list[tuple[int, int]]:
 
 def _check_coverings(sys: CoxeterSystem, conjugates: Conjugates,
                      swept: list[PairResult]) -> CheckResult:
-    """The one pass over instances: every non-empty instance of every
-    product is built once and handed to the covering-axiom check, the lift
-    dichotomy and `monodromy_report`.  Each product's record goes into
-    `swept`, in pair order, for the algebra and monodromy checks.
-    `_sweep` shares the products out among forked workers."""
+    """The one pass over instances: `_sweep_pair` of every product, on
+    every CPU.  Each product's record goes into `swept`, in pair order,
+    for the algebra and monodromy checks; the first product that raises
+    raises here."""
     res = CheckResult("covering axioms")
-    swept += _sweep(sys, conjugates, _pairs(sys))
+    swept += fan_out(partial(_sweep_pair, sys, conjugates), _pairs(sys))
     for _, checked, failures, _ in swept:
         res.checked += checked
         res.failures += failures
@@ -202,11 +184,12 @@ def _check_coverings(sys: CoxeterSystem, conjugates: Conjugates,
 
 
 def _sweep_pair(sys: CoxeterSystem, conjugates: Conjugates,
-                left: int, right: int) -> PairResult:
-    """Every non-empty instance of the product (left, right), built and
-    checked once, and the product's convolution oracle.  An oracle that
-    raises gives None: `_check_algebra` calls it again, so its error comes
-    after the whole sweep, where a serial check raises it."""
+                pair: tuple[int, int]) -> PairResult:
+    """Every non-empty instance of the product `pair`, built once and
+    handed to the covering-axiom check, the lift dichotomy and
+    `monodromy_report`, and then the product's convolution oracle.  Any
+    of them that raises raises here."""
+    left, right = pair
     res = CheckResult("covering axioms")
     sizes = {}
     for target, inst in iter_fibered_graphs(sys, left, right):
@@ -219,111 +202,8 @@ def _sweep_pair(sys: CoxeterSystem, conjugates: Conjugates,
                      f"{report.violations[:1]}")
         _check_lift_dichotomy(sys, inst, res, conjugates)
         monodromy_report(inst)  # raises on any monodromy violation
-    try:
-        oracle = convolution_oracle(sys, left, right).coeffs
-    except Exception:
-        oracle = None
+    oracle = convolution_oracle(sys, left, right).coeffs
     return sizes, res.checked, res.failures, oracle
-
-
-def _sweep(sys: CoxeterSystem, conjugates: Conjugates,
-           pairs: list[tuple[int, int]]) -> list[PairResult]:
-    """`_sweep_pair` of every pair, in pair order.  The parent computes
-    the first share of the pairs and one forked worker each further share.
-    A share stops at its first raising pair; every pair left without a
-    result (after that stop, or in the share of a worker that died or sent
-    nothing usable) is computed again here, in pair order, so the error
-    that comes up is the one a serial pass raises first.  Every worker is
-    reaped before this returns or raises; on an error or an interrupt they
-    are killed first."""
-    shares = _shares(len(pairs), _worker_count(len(pairs)))
-    results: list[PairResult | None] = [None] * len(pairs)
-    workers = []  # (pid, pipe, share)
-    try:
-        for share in shares[1:]:
-            try:
-                workers.append(_fork_worker(sys, conjugates, pairs, share))
-            except OSError:
-                break  # out of processes or pipes: the shares left are computed below
-        for pos, result in zip(shares[0], _sweep_share(sys, conjugates, pairs, shares[0])):
-            results[pos] = result
-        for _, pipe, share in workers:
-            for pos, result in zip(share, _decode(pipe.read(), len(share))):
-                results[pos] = result
-    except BaseException:
-        from signal import SIGKILL
-        for pid, _, _ in workers:
-            os.kill(pid, SIGKILL)
-        raise
-    finally:
-        for pid, pipe, _ in workers:
-            pipe.close()
-            os.waitpid(pid, 0)
-    return [result if result is not None else _sweep_pair(sys, conjugates, *pairs[pos])
-            for pos, result in enumerate(results)]
-
-
-def _worker_count(pairs: int) -> int:
-    """One per CPU this process may run on, capped at `pairs`.  Only the
-    parent (1) without `os.fork` or while another thread runs: a forked
-    child gets only the forking thread, so a lock that another thread
-    holds would stay locked in it."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is None or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return min(len(affinity(0)), pairs)
-
-
-def _shares(total: int, count: int) -> list[range]:
-    """`count` shares of the pair positions, dealt round-robin, so each
-    takes about 1/count of the |Y_I|*|Y_J| scan; with two, exactly half,
-    since half of the group has any given recoil."""
-    return [range(first, total, count) for first in range(count)]
-
-
-def _sweep_share(sys: CoxeterSystem, conjugates: Conjugates,
-                 pairs: list[tuple[int, int]], share: range) -> list[PairResult]:
-    """The results of a share's pairs, in order, up to its first raising
-    pair, which `_sweep` computes again."""
-    done: list[PairResult] = []
-    try:
-        for pos in share:
-            done.append(_sweep_pair(sys, conjugates, *pairs[pos]))
-    except Exception:
-        pass
-    return done
-
-
-def _fork_worker(sys: CoxeterSystem, conjugates: Conjugates,
-                 pairs: list[tuple[int, int]], share: range):
-    """Fork a worker for `share`: it sends `_sweep_share` through a pipe
-    with `marshal` and ends through `os._exit`, never writing to or
-    flushing the stdio buffers it inherited."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        try:
-            os.close(read)
-            with open(write, "wb") as pipe:
-                marshal.dump(_sweep_share(sys, conjugates, pairs, share), pipe)
-        finally:
-            os._exit(0)
-    os.close(write)
-    return pid, open(read, "rb"), share
-
-
-def _decode(data: bytes, size: int) -> list[PairResult]:
-    """A worker's results, or none if what it sent is unusable."""
-    try:
-        done = marshal.loads(data)
-    except (EOFError, ValueError, TypeError):
-        return []
-    return done if isinstance(done, list) and len(done) <= size else []
 
 
 def _check_lift_dichotomy(sys, inst, res: CheckResult,
@@ -359,16 +239,15 @@ def _check_lift_dichotomy(sys, inst, res: CheckResult,
 def _check_algebra(sys: CoxeterSystem, swept: list[PairResult]) -> CheckResult:
     """Covering constants, as the fiber sizes the sweep kept, against the
     convolution oracle the sweep computed next to them, and the counting
-    identity, plus basis round trips.  Where the oracle raised in the
-    sweep, it is called again here, in pair order, to raise."""
+    identity, plus basis round trips.  It only compares: an oracle that
+    raised did so in the sweep."""
     res = CheckResult("products vs oracle")
     class_sizes = {subset: len(recoil_class(sys, subset).members)
                    for subset in iter_subsets(sys.rank)}
     for (left, right), (sizes, _, _, coeffs) in zip(_pairs(sys), swept):
         res.checked += 1
         expansion = AlgebraElement.make("Y", sizes)
-        oracle = (convolution_oracle(sys, left, right) if coeffs is None
-                  else AlgebraElement("Y", coeffs))
+        oracle = AlgebraElement("Y", coeffs)
         if expansion != oracle:
             res.fail(f"oracle mismatch at ({format_subset(left)}, {format_subset(right)})")
         if any(c <= 0 for _, c in expansion.coeffs):

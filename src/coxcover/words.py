@@ -14,16 +14,13 @@ The library does not enumerate with `WordEngine`: `coxeter` works in the
 root system.  `WordEngine` is a test-only reference, the independent route
 the tests check enumeration against (`tests/support.reference_words`).  It
 also stays because the benchmark tracer (`perfbench/tracer.py`) binds
-`WordEngine.canonical` and `WordEngine.braid_closure` by name.
-`alternating` is used by `monodromy`.
+`WordEngine.canonical` and `WordEngine.braid_closure` by name; it
+imports this module itself, since the CLI does not load it.
 """
 
 from __future__ import annotations
 
-
-def alternating(a: int, b: int, count: int) -> tuple[int, ...]:
-    """The word a b a b ... of the given length."""
-    return tuple(a if i % 2 == 0 else b for i in range(count))
+from .monodromy import alternating
 
 
 class WordEngine:

@@ -21,9 +21,9 @@ from coxcover.coxeter import _invert_oneline, _permutation_order
 from coxcover.errors import ClassInconstant, InvariantViolation, OrderViolation
 from coxcover.gensets import format_subset, from_one_based
 from coxcover.monodromy import (
-    FiberAction, Loop, MonodromyReport, loop_action, relation_loops)
+    FiberAction, Loop, MonodromyReport, alternating, loop_action, relation_loops)
 from coxcover.recoil import recoil_class
-from coxcover.words import WordEngine, alternating
+from coxcover.words import WordEngine
 
 
 def subset(*one_based: int) -> int:

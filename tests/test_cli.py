@@ -76,6 +76,12 @@ def test_table_accepts_dihedral_aliases(capsys):
     assert code == 0
     assert {tuple(r["K"]): r["a"] for r in json.loads(out)["rows"]} == {
         (): 2, (1,): 2, (2,): 2, (1, 2): 3}
+    # the aliases name generators 1 and 2 in every group, not only I<m>
+    aliased = run_cli(capsys, "table", "--group", "S3", "--left", "s", "--right", "t",
+                      "--format", "json")
+    assert aliased[0] == 0
+    assert aliased == run_cli(capsys, "table", "--group", "S3", "--left", "1", "--right", "2",
+                              "--format", "json")
 
 
 def test_table_s3_oracle_row(capsys):
@@ -510,6 +516,20 @@ def test_cli_import_loads_no_dataclasses():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"I": [1], "J": [3], "K": [1, 3], "a": 1,
                                        "lambda": [1], "components": 1, "vertices": 5}
+
+
+def test_cli_import_loads_exactly_these_modules():
+    # the benchmark tracer rebinds its layers only in the coxcover modules
+    # this import loads, so a module that turns lazy or drops out of it
+    # must be a deliberate change; `words` is loaded by the tracer itself
+    probe = ("import sys, coxcover.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'coxcover'))")
+    proc = subprocess.run([_sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, env=MODULE_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == repr(["coxcover"] + [f"coxcover.{name}" for name in (
+        "algebra", "cli", "covering", "coxeter", "dot", "errors", "fanout", "gensets",
+        "monodromy", "recoil", "verify")]) + "\n"
 
 
 def test_verify_leaves_no_process_behind():

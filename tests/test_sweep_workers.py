@@ -1,11 +1,12 @@
-"""`verify` shares its covering sweep out among forked workers, one per
-CPU in the affinity mask, and each share computes its products'
-convolution oracles too.  Whatever the worker count, and whatever a
-worker does, the output is that of one serial pass, and no child outlives
-the sweep."""
+"""`fan_out(fn, items)` shares its items out among forked workers, one
+per CPU in the affinity mask, and `verify` runs its covering sweep through
+it, each product's convolution oracle included.  Whatever the worker
+count, and whatever a worker does, the results and the first error are
+those of one serial pass, and no child outlives the call."""
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import threading
@@ -13,9 +14,10 @@ import time
 
 import pytest
 
-from coxcover import algebra, monodromy, verify
+from coxcover import algebra, fanout, monodromy, verify
 from coxcover.cli import main
 from coxcover.errors import ClassInconstant, InvariantViolation
+from coxcover.fanout import fan_out
 from coxcover.gensets import format_subset, iter_subsets
 from coxcover.verify import run_invariant_sweep
 
@@ -119,7 +121,7 @@ def test_a_class_that_cannot_be_built_gives_the_serial_error(module, builder, s4
 @pytest.mark.parametrize("earlier", [0, 1], ids=["parent-share-first", "worker-share-first"])
 def test_two_failures_give_the_serial_error(earlier, s4, capsys, monkeypatch):
     pairs = [(left, right) for left in iter_subsets(3) for right in iter_subsets(3)]
-    shares = verify._shares(len(pairs), 2)
+    shares = fanout._shares(len(pairs), 2)
     first = shares[earlier][0]
     second = next(pos for pos in shares[1 - earlier] if pos > first)
     failing = {pairs[first], pairs[second]}
@@ -147,7 +149,7 @@ def test_two_failures_give_the_serial_error(earlier, s4, capsys, monkeypatch):
 def test_an_oracle_error_in_a_worker_gives_the_serial_error(sweep_fails, s4, capsys,
                                                             monkeypatch, tally):
     pairs = [(left, right) for left in iter_subsets(3) for right in iter_subsets(3)]
-    worker_share = verify._shares(len(pairs), 2)[1]
+    worker_share = fanout._shares(len(pairs), 2)[1]
     bad, later = pairs[worker_share[0]], pairs[-1]
     assert later != bad
     oracle, covering = verify.convolution_oracle, verify.verify_covering
@@ -167,18 +169,20 @@ def test_an_oracle_error_in_a_worker_gives_the_serial_error(sweep_fails, s4, cap
     monkeypatch.setattr(verify, "convolution_oracle", failing_oracle)
     if sweep_fails:
         monkeypatch.setattr(verify, "verify_covering", failing_covering)
+    # the oracle raises at its own product, so it wins over a covering
+    # failure at a later product, as any fault of the sweep would
     set_cpus(monkeypatch, 1)
     serial = run_verify(capsys, "S4")
-    message = ("injected covering failure" if sweep_fails else
-               f"injected oracle failure at ({format_subset(bad[0])}, {format_subset(bad[1])})")
+    message = f"injected oracle failure at ({format_subset(bad[0])}, {format_subset(bad[1])})"
     assert serial == (1, "group S4: 24 elements, rank 3\n", f"invariant failure: {message}\n")
     set_cpus(monkeypatch, 2)
     seen = len(tally.pids())
     assert run_verify(capsys, "S4") == serial
-    # the worker met the fault first; the algebra check, run only when the
-    # sweep passed, met it again in the parent
-    assert tally.pids()[seen:] == [tally.pids()[seen]] + [os.getpid()] * (not sweep_fails)
-    assert tally.pids()[seen] != os.getpid()
+    # the worker met the fault first and stopped its share there; the
+    # parent met it again when it computed that product
+    worker = tally.pids()[seen]
+    assert worker != os.getpid()
+    assert tally.pids()[seen:] == [worker, os.getpid()]
     assert_no_child_left()
 
 
@@ -235,3 +239,66 @@ def test_the_parent_sweeps_alone_when_forking_is_unsafe(blocker, s4, monkeypatch
             thread.join()
     assert set(tally.pids()) == {os.getpid()}
     assert_no_child_left()
+
+
+def squares_tallied(tally):
+    def square(x):
+        tally.add()
+        return x * x
+    return square
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_fan_out_returns_results_in_item_order(count, monkeypatch, tally):
+    set_cpus(monkeypatch, count)
+    items = list(range(7))  # neither 2 nor 3 divides 7
+    assert fan_out(squares_tallied(tally), items) == [x * x for x in items]
+    assert len(tally.pids()) == len(items)
+    assert len(set(tally.pids())) == count
+    assert_no_child_left()
+
+
+def test_fan_out_of_no_items_is_empty(monkeypatch):
+    set_cpus(monkeypatch, 2)
+    assert fan_out(abs, []) == []
+
+
+def test_fan_out_raises_the_first_error_in_item_order(monkeypatch, tally):
+    # with 3 CPUs, items 2 and 4 both fall in worker shares
+    def failing(x):
+        tally.add()
+        if x in (2, 4):
+            raise ValueError(f"item {x}")
+        return x
+
+    set_cpus(monkeypatch, 3)
+    with pytest.raises(ValueError, match="^item 2$"):
+        fan_out(failing, list(range(7)))
+    assert any(pid != os.getpid() for pid in tally.pids())
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("started", [0, 1], ids=["none-started", "one-started"])
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_the_parent_computes_the_shares_of_workers_that_cannot_start(call, started,
+                                                                     monkeypatch, tally):
+    fds = sorted(os.listdir("/proc/self/fd"))
+    real, calls = getattr(os, call), []
+
+    def refused(*args):
+        calls.append(call)
+        if len(calls) > started:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real(*args)
+
+    monkeypatch.setattr(os, call, refused)
+    set_cpus(monkeypatch, 3)
+    items = list(range(7))
+    assert fan_out(squares_tallied(tally), items) == [x * x for x in items]
+    pids = tally.pids()
+    assert len(pids) == len(items)
+    assert len(set(pids)) == 1 + started
+    # the parent's own share and every share of a worker that did not start
+    assert pids.count(os.getpid()) == len(items) - len(fanout._shares(len(items), 3)[1]) * started
+    assert_no_child_left()
+    assert sorted(os.listdir("/proc/self/fd")) == fds
