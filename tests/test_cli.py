@@ -42,13 +42,17 @@ def run_cli(capsys, *argv: str) -> tuple[int, str]:
     return code, out
 
 
+D4_MATRIX = [[1, 3, 2, 2], [3, 1, 3, 3], [2, 3, 1, 2], [2, 3, 2, 1]]
+B4_MATRIX = [[1, 4, 2, 2], [4, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]]
+
+
 def group_arg(name: str, tmp_path) -> str:
-    """`--group` for `name`, with B3 and H3 written to a matrix file."""
-    matrix = {"B3": B3_MATRIX, "H3": H3_MATRIX}.get(name)
+    """`--group` for `name`, with B3, H3, D4 and B4 written to a matrix file."""
+    matrix = {"B3": B3_MATRIX, "H3": H3_MATRIX, "D4": D4_MATRIX, "B4": B4_MATRIX}.get(name)
     if matrix is None:
         return name
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps({"rank": 3, "m": matrix}))
+    path.write_text(json.dumps({"rank": len(matrix), "m": matrix}))
     return f"matrix:{path}"
 
 
@@ -476,6 +480,39 @@ def test_table_json_bytes_pinned(tmp_path, capsys, name):
                         "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[name]
+
+
+# sha256 of `table` text stdout
+TABLE_TEXT_DIGESTS = {
+    "S5": "629097cfb2d98a5e62f66160539544e208497a569ba74b3272d8146a42cb7084",
+    "I6": "22d0f8b8da3d898668b47c92b44e5da1c39fc38d49914cbc3541ec18b03db2bc",
+    "B3": "795982461e737a93024bfbc3efadfe16df224e0aac82a360e7ea986b454e1150",
+    "H3": "f53f751f1215c1f40a2b04681c61c5e91ba3202092358da5874154dc31c0cf2c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_TEXT_DIGESTS))
+def test_table_text_bytes_pinned(tmp_path, capsys, name):
+    code, out = run_cli(capsys, "table", "--group", group_arg(name, tmp_path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_TEXT_DIGESTS[name]
+
+
+# sha256 of `cover --left 1 --right 2 --target 1,2 --format json` stdout:
+# the benchmark's `enumerate` digests
+COVER_DIGESTS = {
+    "D4": "b5c65c5a9b3d0a9bdec5f9852229ec63eb70220e87dda948d639bba2fac073ee",
+    "B4": "b5c65c5a9b3d0a9bdec5f9852229ec63eb70220e87dda948d639bba2fac073ee",
+    "I100": "64a688764f59f09bc3dc01acd2e2f0a5f51cb4dfb10dada0231817869ab5d83a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COVER_DIGESTS))
+def test_cover_json_bytes_pinned(tmp_path, capsys, name):
+    code, out = run_cli(capsys, "cover", "--group", group_arg(name, tmp_path), "--left", "1",
+                        "--right", "2", "--target", "1,2", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COVER_DIGESTS[name]
 
 
 def test_deterministic_output(capsys):
