@@ -3,12 +3,11 @@ products, descent-algebra structure constants, and fiber monodromy."""
 
 from .algebra import (
     AlgebraElement,
-    StructureTable,
-    TableRow,
     convolution_oracle,
     expansion_rows,
     full_table,
     product_expand,
+    table_json,
     x_from_y,
     y_from_x,
 )

@@ -16,6 +16,8 @@ back into class sums:
   neighbours, one Cayley lookup per pair.
 
 `full_table` runs both for every pair of subsets and insists they agree.
+Its rows are the instances' own `CoveringInstance.row` dicts, and
+`table_json` wraps them as the document `table --format json` prints.
 The Y basis is the class sums themselves; the X basis collects the class
 sums of all subsets of an index, so the two bases are related by the zeta
 and Moebius transforms of the subset lattice.
@@ -27,7 +29,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .coxeter import CoxeterSystem
-from .covering import iter_fibered_graphs, multiplicity_partition
+from .covering import iter_fibered_graphs
 from .errors import ClassInconstant, InvariantViolation, OracleMismatch
 from .gensets import format_subset, iter_subsets, one_based
 from .recoil import RecoilClass, recoil_class
@@ -167,73 +169,34 @@ def y_from_x(elem: AlgebraElement) -> AlgebraElement:
     return AlgebraElement.make("Y", _superset_transform(elem.as_dict(), +1))
 
 
-class TableRow(NamedTuple):
-    left: tuple[int, ...]    # serialized subsets, 1-based ascending
-    right: tuple[int, ...]
-    target: tuple[int, ...]
-    constant: int
-    partition: tuple[int, ...]
-    components: int
-
-    def to_json(self) -> dict:
-        return {
-            "I": list(self.left),
-            "J": list(self.right),
-            "K": list(self.target),
-            "a": self.constant,
-            "lambda": list(self.partition),
-            "components": self.components,
-        }
-
-
-class StructureTable:
-    __slots__ = ("group", "rank", "rows")
-
-    def __init__(self, group: str, rank: int, rows: list[TableRow] | None = None):
-        self.group = group
-        self.rank = rank
-        self.rows = [] if rows is None else rows
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group,
-            "rank": self.rank,
-            "zero_rows_omitted": True,
-            "rows": [row.to_json() for row in self.rows],
-        }
-
-
-def expansion_rows(sys: CoxeterSystem, left: int, right: int) -> list[TableRow]:
-    """Table rows of one product, cross-checked against the oracle."""
-    rows: list[TableRow] = []
+def expansion_rows(sys: CoxeterSystem, left: int, right: int) -> list[dict]:
+    """The `CoveringInstance.row` of every non-empty instance of one product,
+    sorted by K and cross-checked against the oracle."""
+    rows: list[dict] = []
     covering: dict[int, int] = {}
     for target, inst in iter_fibered_graphs(sys, left, right):
         covering[target] = inst.fiber_size
-        rows.append(TableRow(
-            left=one_based(left),
-            right=one_based(right),
-            target=one_based(target),
-            constant=inst.fiber_size,
-            partition=multiplicity_partition(inst),
-            components=inst.component_count,
-        ))
+        rows.append(inst.row())
     oracle = convolution_oracle(sys, left, right).as_dict()
     if covering != oracle:
         raise OracleMismatch(
             f"covering route {covering} != oracle {oracle} for "
             f"({format_subset(left)}, {format_subset(right)})"
         )
-    rows.sort(key=lambda r: r.target)
+    rows.sort(key=lambda row: row["K"])
     return rows
 
 
-def full_table(sys: CoxeterSystem) -> StructureTable:
-    """Every product of two class sums, as rows sorted lexicographically by
-    the serialized (I, J, K) subsets.  Rows with a zero constant are
-    omitted; each retained row was verified against the oracle."""
-    table = StructureTable(group=sys.spec.describe(), rank=sys.rank)
+def table_json(sys: CoxeterSystem, rows: list[dict]) -> dict:
+    """The document `table --format json` prints for `rows`."""
+    return {"group": sys.spec.describe(), "rank": sys.rank, "zero_rows_omitted": True,
+            "rows": rows}
+
+
+def full_table(sys: CoxeterSystem) -> dict:
+    """Every product of two class sums, as `table_json` of rows sorted
+    lexicographically by the serialized (I, J, K) subsets.  Rows with a zero
+    constant are omitted; each retained row was verified against the oracle."""
     subsets = sorted(iter_subsets(sys.rank), key=one_based)
-    for left in subsets:
-        for right in subsets:
-            table.rows.extend(expansion_rows(sys, left, right))
-    return table
+    return table_json(sys, [row for left in subsets for right in subsets
+                            for row in expansion_rows(sys, left, right)])

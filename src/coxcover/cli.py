@@ -5,6 +5,9 @@ Groups are named "S<n>" (symmetric), "I<m>" (dihedral of order 2m) or
 Subsets are comma-separated 1-based generator indices; the empty string is
 the empty set, and s/t alias 1/2 in every group.
 
+`table` computes every product before it prints anything, so a failing
+product leaves stdout empty; its rows are `CoveringInstance.row` dicts.
+
 Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 element cap
 exceeded, 141 (128 + SIGPIPE) when the reader closes stdout early, as in
 `coxcover table --group S6 | head`.
@@ -27,7 +30,7 @@ import json
 import os
 import sys as _sys
 
-from .algebra import expansion_rows, StructureTable
+from .algebra import expansion_rows, table_json
 from .coxeter import CoxeterSpec, CoxeterSystem, DEFAULT_ELEMENT_CAP, build_system
 from .covering import build_fibered_graph, multiplicity_partition, verify_covering
 from .dot import covering_dot
@@ -101,19 +104,9 @@ def _instance(args):
     return build_fibered_graph(system, left, right, target)
 
 
-def _braced(numbers: tuple[int, ...]) -> str:
-    """A serialized (1-based) subset as text: (1, 3) -> "{1,3}"."""
+def _braced(numbers: list[int]) -> str:
+    """A serialized (1-based) subset as text: [1, 3] -> "{1,3}"."""
     return "{%s}" % ",".join(map(str, numbers))
-
-
-def _format_expansion(rows) -> str:
-    if not rows:
-        return "0"
-    terms = []
-    for row in rows:
-        head = "" if row.constant == 1 else f"{row.constant} "
-        terms.append(f"{head}Y_{_braced(row.target)}")
-    return " + ".join(terms)
 
 
 def cmd_table(args) -> int:
@@ -122,20 +115,22 @@ def cmd_table(args) -> int:
     every = sorted(iter_subsets(rank), key=one_based)
     lefts = every if args.left is None else [_subset(args.left, rank)]
     rights = every if args.right is None else [_subset(args.right, rank)]
-    products = [(left, right, expansion_rows(system, left, right))
-                for left in lefts for right in rights]
-    if args.format == "json":
-        data = StructureTable(group=system.spec.describe(), rank=rank,
-                              rows=[row for _, _, rows in products for row in rows]).to_json()
-        del products  # free the rows before serializing their JSON copies
-        print(json.dumps(data))
-        return EXIT_OK
-    for left, right, rows in products:
-        print(f"Y_{format_subset(left)} * Y_{format_subset(right)} = "
-              f"{_format_expansion(rows)}")
-        for row in rows:
-            print(f"  K={_braced(row.target)} a={row.constant} lambda={list(row.partition)} "
-                  f"components={row.components}")
+    # only what will be printed is held: the rows for JSON, the lines for text
+    as_json = args.format == "json"
+    held: list = []
+    for left in lefts:
+        for right in rights:
+            rows = expansion_rows(system, left, right)
+            if as_json:
+                held += rows
+                continue
+            terms = (("" if row["a"] == 1 else f"{row['a']} ") + f"Y_{_braced(row['K'])}"
+                     for row in rows)
+            held.append(f"Y_{format_subset(left)} * Y_{format_subset(right)} = "
+                        + " + ".join(terms))
+            held += [f"  K={_braced(row['K'])} a={row['a']} lambda={row['lambda']} "
+                     f"components={row['components']}" for row in rows]
+    print(json.dumps(table_json(system, held)) if as_json else "\n".join(held))
     return EXIT_OK
 
 

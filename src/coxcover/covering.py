@@ -17,6 +17,8 @@ product; both hand their vertices to the `CoveringInstance` constructor,
 so an instance is identical whichever way it was built.  It wires the
 adjacency, labels the components by a search over it and checks that
 every fiber splits the same way across them (FiberInconstant otherwise).
+`CoveringInstance.row` is the one definition of a `table` row; `cover
+--format json` prints that row with the vertex count added.
 
 The projection sends (pi, rho) to pi*rho.  Everything this package computes
 downstream rests on that projection being a graph covering of the target
@@ -179,7 +181,9 @@ class CoveringInstance:
             self.lifts = lifts
         return self.lifts
 
-    def to_json(self) -> dict:
+    def row(self) -> dict:
+        """The instance's `table` row: the subsets I, J and K, 1-based, the
+        structure constant a, the partition lambda and the component count."""
         return {
             "I": list(one_based(self.left)),
             "J": list(one_based(self.right)),
@@ -187,8 +191,11 @@ class CoveringInstance:
             "a": self.fiber_size,
             "lambda": list(multiplicity_partition(self)),
             "components": self.component_count,
-            "vertices": len(self.vertices),
         }
+
+    def to_json(self) -> dict:
+        """The `cover --format json` document: the row and the vertex count."""
+        return {**self.row(), "vertices": len(self.vertices)}
 
 
 def build_fibered_graph(sys: CoxeterSystem, left: int, right: int,

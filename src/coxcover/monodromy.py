@@ -30,7 +30,7 @@ from .coxeter import CoxeterSystem, _permutation_order
 from .covering import CoveringInstance, multiplicity_partition
 from .errors import InvariantViolation, NotAClassEdge, OrderViolation
 from .gensets import one_based
-from .recoil import RecoilClass, recoil_class
+from .recoil import RecoilClass
 
 
 def alternating(a: int, b: int, count: int) -> tuple[int, ...]:
@@ -171,7 +171,7 @@ def monodromy_report(instance: CoveringInstance) -> MonodromyReport:
     is all ones and each component projects isomorphically.
     """
     sys = instance.system
-    cls = recoil_class(sys, instance.target)
+    cls = instance.target_class
     relation_loops(sys, cls)
     loops, counts = cls.loops
     braid_orders: dict[int, int] = {}

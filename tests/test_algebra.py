@@ -254,35 +254,39 @@ def test_x_basis_product_through_y(s3):
 
 def test_full_table_s3(s3):
     table = full_table(s3)
-    assert table.group == "S3" and table.rank == 2
-    assert len(table.rows) == 24
-    row = [r for r in table.rows if r.left == (1,) and r.right == (1,) and r.target == ()]
-    assert len(row) == 1 and row[0].constant == 1
-    keys = [(r.left, r.right, r.target) for r in table.rows]
+    assert table["group"] == "S3" and table["rank"] == 2
+    assert len(table["rows"]) == 24
+    row = [r for r in table["rows"] if r["I"] == [1] and r["J"] == [1] and r["K"] == []]
+    assert len(row) == 1 and row[0]["a"] == 1
+    keys = [(r["I"], r["J"], r["K"]) for r in table["rows"]]
     assert keys == sorted(keys)
-    assert all(r.constant > 0 for r in table.rows)
-    assert all(sum(r.partition) == r.constant for r in table.rows)
+    assert all(r["a"] > 0 for r in table["rows"])
+    assert all(sum(r["lambda"]) == r["a"] for r in table["rows"])
+
+
+def _keyed(table: dict) -> dict:
+    return {(tuple(r["I"]), tuple(r["J"]), tuple(r["K"])): r for r in table["rows"]}
 
 
 def test_full_table_contains_worked_examples(s4):
-    rows = {(r.left, r.right, r.target): r.constant for r in full_table(s4).rows}
+    rows = {k: r["a"] for k, r in _keyed(full_table(s4)).items()}
     assert {k: v for k, v in rows.items() if k[0] == (1,) and k[1] == (3,)} == {
         ((1,), (3,), ()): 1, ((1,), (3,), (1,)): 1, ((1,), (3,), (1, 3)): 1}
 
 
 def test_full_table_dihedral(i6):
-    rows = {(r.left, r.right, r.target): (r.constant, r.partition)
-            for r in full_table(i6).rows}
-    assert rows[((1,), (2,), ())] == (2, (1, 1))
-    assert rows[((1,), (2,), (1, 2))] == (3, (1, 1, 1))
+    rows = {k: (r["a"], r["lambda"]) for k, r in _keyed(full_table(i6)).items()}
+    assert rows[((1,), (2,), ())] == (2, [1, 1])
+    assert rows[((1,), (2,), (1, 2))] == (3, [1, 1, 1])
 
 
 def test_table_json_schema(s4):
-    data = full_table(s4).to_json()
+    data = full_table(s4)
+    assert list(data) == ["group", "rank", "zero_rows_omitted", "rows"]
     assert data["group"] == "S4" and data["rank"] == 3
     assert data["zero_rows_omitted"] is True
     first = data["rows"][0]
-    assert set(first) == {"I", "J", "K", "a", "lambda", "components"}
+    assert list(first) == ["I", "J", "K", "a", "lambda", "components"]
 
 
 def test_oracle_route_is_independent(s4):

@@ -11,12 +11,13 @@ import time
 import pytest
 
 import coxcover
-from coxcover import cli, coxeter, verify
+from coxcover import algebra, cli, coxeter, verify
+from coxcover.algebra import expansion_rows, full_table
 from coxcover.cli import main
 from coxcover.covering import CoveringReport, build_fibered_graph
 from coxcover.dot import covering_dot
-from coxcover.errors import InvariantViolation
-from coxcover.gensets import from_one_based
+from coxcover.errors import InvariantViolation, OracleMismatch
+from coxcover.gensets import from_one_based, iter_subsets
 
 from .conftest import B3_MATRIX, H3_MATRIX
 
@@ -115,6 +116,50 @@ def test_table_text_is_the_concatenation_of_its_pairs(capsys):
             assert code == 0
             pieces.append(out)
     assert full == "".join(pieces)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_table_prints_nothing_when_its_last_product_fails(capsys, monkeypatch, fmt):
+    # every product is computed before the first line is printed
+    real, calls = algebra.convolution_oracle, []
+
+    def oracle(sys, left, right):
+        calls.append((left, right))
+        if len(calls) == 64:  # S4's last product
+            raise OracleMismatch("the last product")
+        return real(sys, left, right)
+
+    monkeypatch.setattr(algebra, "convolution_oracle", oracle)
+    assert main(["table", "--group", "S4", "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert len(calls) == 64
+    assert captured.out == ""
+    assert captured.err == "invariant failure: the last product\n"
+
+
+@pytest.mark.parametrize("name", ["S4", "I6", "B3"])
+def test_table_json_prints_full_table(tmp_path, capsys, request, name):
+    code, out = run_cli(capsys, "table", "--group", group_arg(name, tmp_path),
+                        "--format", "json")
+    assert code == 0
+    assert out == json.dumps(full_table(request.getfixturevalue(name.lower()))) + "\n"
+
+
+def test_table_rows_are_the_cover_json_of_their_instances(capsys, s4):
+    checked = 0
+    for left in iter_subsets(s4.rank):
+        for right in iter_subsets(s4.rank):
+            for row in expansion_rows(s4, left, right):
+                argv = ["cover", "--group", "S4", "--format", "json"]
+                for flag, key in (("--left", "I"), ("--right", "J"), ("--target", "K")):
+                    argv += [flag, ",".join(map(str, row[key]))]
+                code, out = run_cli(capsys, *argv)
+                assert code == 0
+                cover = json.loads(out)
+                assert cover.pop("vertices") > 0
+                assert cover == row
+                checked += 1
+    assert checked == 188  # the rows of the S4 table
 
 
 def test_cover_text(capsys):
