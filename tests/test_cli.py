@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import pstats
@@ -558,6 +559,47 @@ def test_cover_json_bytes_pinned(tmp_path, capsys, name):
                         "--right", "2", "--target", "1,2", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == COVER_DIGESTS[name]
+
+
+GROUP_FILES = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "groups")
+RANK3_GROUPS = {"S4": "S4", "H3": f"matrix:{os.path.join(GROUP_FILES, 'H3.json')}",
+                "B3": f"matrix:{os.path.join(GROUP_FILES, 'B3.json')}"}
+
+
+def every_triple_stdout(capsys, command: str, group: str) -> list[str]:
+    """stdout of `command` on every (I, J, K) of a rank-3 group, the masks
+    in `itertools.product` order, each subset a 1-based comma list."""
+    def subset(mask: int) -> str:
+        return ",".join(str(i + 1) for i in range(3) if mask >> i & 1)
+
+    outs = []
+    for left, right, target in itertools.product(range(8), repeat=3):
+        argv = [command, "--group", group, "--left", subset(left),
+                "--right", subset(right), "--target", subset(target)]
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    return outs
+
+
+# sha256 of the stdout of every triple of a rank-3 group, concatenated
+TRIPLE_DIGESTS = {
+    ("monodromy", "S4"): "9fc917b8723491c56a0a971e991c00a3d9f6f0bc6abc631b289968a66a6ea4d8",
+    ("monodromy", "H3"): "4b51ee02aa2c1574c1111c001d47006900d70113e459dc123e6029f72adaf621",
+    ("monodromy", "B3"): "6a401971052ef9970731186a657beba48d18718ba41f67407781ae2dfbe490c4",
+    ("cover", "S4"): "d841cd94008c04a6b91029e8607389203db7262725f26184833443795c2ede80",
+    ("cover", "H3"): "0bad439a06b3c6439be422646562ceba3da6daa738ea965ea916538bd983ad04",
+    ("cover", "B3"): "c9d2e12be9817700ffbe2189db1a1a4101d2ac7faaafd1bbe1e0bbe67a4846dc",
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(TRIPLE_DIGESTS))
+def test_every_triple_bytes_pinned(capsys, command, name):
+    outs = every_triple_stdout(capsys, command, RANK3_GROUPS[name])
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == TRIPLE_DIGESTS[command, name]
+    if (command, name) == ("monodromy", "H3"):
+        # the pin covers both optional parts of the document
+        assert sum('"polygon_loops"' in out for out in outs) == 128
+        assert sum('"empty": true' in out for out in outs) == 220
 
 
 def test_deterministic_output(capsys):
