@@ -14,7 +14,6 @@ from .algebra import (
 from .coxeter import CoxeterSpec, CoxeterSystem, build_system, positional_recoils
 from .covering import (
     CoveringInstance,
-    CoveringReport,
     build_fibered_graph,
     iter_fibered_graphs,
     multiplicity_partition,
@@ -36,7 +35,6 @@ from .errors import (
 from .monodromy import (
     FiberAction,
     Loop,
-    MonodromyReport,
     component_isomorphisms,
     loop_action,
     monodromy_report,

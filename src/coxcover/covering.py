@@ -17,16 +17,18 @@ product; both hand their vertices to the `CoveringInstance` constructor,
 so an instance is identical whichever way it was built.  It wires the
 adjacency, labels the components by a search over it and checks that
 every fiber splits the same way across them (FiberInconstant otherwise).
-`CoveringInstance.row` is the one definition of a `table` row; `cover
---format json` prints that row with the vertex count added.
+`CoveringInstance.subsets` builds the keys I, J and K once, for both
+`row`, the one definition of a `table` row, and the `monodromy` document;
+`cover --format json` prints the row with the vertex count added.
 
 The projection sends (pi, rho) to pi*rho.  Everything this package computes
 downstream rests on that projection being a graph covering of the target
 class; `verify_covering` checks the covering axioms directly instead of
 assuming them, edge preservation and unique lifting together as one
 local-bijection test per vertex (its neighbours must project one-to-one
-onto the class neighbours of its image).  The per-fiber counts give the
-structure constants of the descent algebra.
+onto the class neighbours of its image).  It returns the witnesses of
+any violation, and `cover` and `verify` print the first.  The per-fiber
+counts give the structure constants of the descent algebra.
 
 `unique_lift_edge` decides how one in-class step of the product lifts.
 `CoveringInstance.lift_table` asks it once for every in-class step of an
@@ -39,7 +41,7 @@ table against a brute force that does not call `unique_lift_edge`.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .coxeter import CoxeterSystem
 from .errors import FiberInconstant, InvariantViolation, NotAClassEdge
@@ -181,13 +183,17 @@ class CoveringInstance:
             self.lifts = lifts
         return self.lifts
 
+    def subsets(self) -> dict:
+        """The subsets I, J and K, 1-based: the keys that open both the
+        instance's `table` row and its `monodromy` document."""
+        return {"I": list(one_based(self.left)), "J": list(one_based(self.right)),
+                "K": list(one_based(self.target))}
+
     def row(self) -> dict:
-        """The instance's `table` row: the subsets I, J and K, 1-based, the
-        structure constant a, the partition lambda and the component count."""
+        """The instance's `table` row: its subsets, the structure constant
+        a, the partition lambda and the component count."""
         return {
-            "I": list(one_based(self.left)),
-            "J": list(one_based(self.right)),
-            "K": list(one_based(self.target)),
+            **self.subsets(),
             "a": self.fiber_size,
             "lambda": list(multiplicity_partition(self)),
             "components": self.component_count,
@@ -258,50 +264,29 @@ def multiplicity_partition(instance: CoveringInstance) -> tuple[int, ...]:
     return tuple(sorted(instance.degrees, reverse=True))
 
 
-class CoveringReport(NamedTuple):
-    status: str                 # "ok" | "empty" | "failed"
-    surjective: bool | None
-    edges_preserved: bool | None
-    unique_lifting: bool | None
-    violations: list[str]
-    note: str = ""
+def verify_covering(instance: CoveringInstance) -> list[str]:
+    """Check the three covering axioms of the projection and return the
+    witnesses of their violations; an empty list means the axioms hold.
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-
-def verify_covering(instance: CoveringInstance) -> CoveringReport:
-    """Check the three covering axioms of the projection, reporting any
-    violation with a witness.
-
-    Surjectivity is read off the fibers.  Edge preservation and unique
+    Surjectivity is read off the fibers: the first target element that no
+    vertex projects onto is a witness.  Edge preservation and unique
     lifting are checked together, as one local-bijection test per vertex
     u: the projections of u's neighbours, counted with multiplicity, must
     be the class neighbours of pi(u), each taken once.  The test compares
     every vertex's list in one pass; only when it fails does a second pass
-    examine each failing vertex for its witnesses: a neighbour over a
-    non-neighbour of pi(u) breaks edge preservation, and a class neighbour
-    hit n != 1 times gives "n lifts of edge ...".
+    examine each failing vertex for its witnesses: the first neighbour, in
+    edge order, over a non-neighbour of pi(u) breaks edge preservation,
+    and every class neighbour hit n != 1 times gives "n lifts of edge ...".
 
-    An empty instance gets the explicit "empty" status: the projection onto
-    the target class is then vacuously non-surjective, which is recorded as
-    a fact about the instance rather than a failed axiom.
+    An empty instance returns []: its projection onto the target class is
+    then vacuously non-surjective, a fact about the instance rather than a
+    failed axiom.
     """
     if instance.is_empty:
-        return CoveringReport(
-            status="empty", surjective=None, edges_preserved=None,
-            unique_lifting=None, violations=[],
-            note="empty instance: projection onto the target class is "
-                 "vacuously non-surjective",
-        )
+        return []
     sys = instance.system
-    violations: list[str] = []
-
     missed = [t for t, f in instance.fibers.items() if not f]
-    surjective = not missed
-    if missed:
-        violations.append(f"no vertex projects onto {sys.format_index(missed[0])}")
+    witnesses = [f"no vertex projects onto {sys.format_index(t)}" for t in missed[:1]]
 
     projection, vertices = instance.projection, instance.vertices
     class_nbrs = instance.target_class.adjacency  # each list ascends
@@ -330,12 +315,7 @@ def verify_covering(instance: CoveringInstance) -> CoveringReport:
                         f"{hits} lifts of edge {sys.format_index(pu)} -- "
                         f"{sys.format_index(b)} at vertex {vertices[u]}"
                     )
-    edges_preserved = not bad_edges
-    unique_lifting = not bad_lifts
-    violations += bad_edges[:1] + bad_lifts  # the first bad edge in edge order
-
-    status = "ok" if not violations else "failed"
-    return CoveringReport(status, surjective, edges_preserved, unique_lifting, violations)
+    return witnesses + bad_edges[:1] + bad_lifts  # the first bad edge in edge order
 
 
 def unique_lift_edge(sys: CoxeterSystem, vertex: Vertex, s: int,

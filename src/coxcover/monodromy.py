@@ -19,7 +19,8 @@ when lifts[s][lifts[s][u]] == u.  `monodromy_report` walks the loops once,
 in order, and passes a square without `loop_action` when the lift table
 is an involution on its step, with no -1, from every point over its base;
 any other square goes through `loop_action`, so an error raised and its
-witness are those of the walk over every loop.
+witness are those of the walk over every loop.  It returns the document
+that the `monodromy` command prints.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import NamedTuple
 from .coxeter import CoxeterSystem, _permutation_order
 from .covering import CoveringInstance, multiplicity_partition
 from .errors import InvariantViolation, NotAClassEdge, OrderViolation
-from .gensets import one_based
 from .recoil import RecoilClass
 
 
@@ -126,38 +126,13 @@ def loop_action(instance: CoveringInstance, loop: Loop) -> FiberAction:
     return FiberAction(loop, permutation, order)
 
 
-class MonodromyReport(NamedTuple):
-    left: int
-    right: int
-    target: int
-    empty: bool
-    braid_loops: int
-    braid_orders: dict[int, int]      # order -> number of braid loops
-    polygon_loops: int
-    polygon_orders: dict[int, int]
-    no_braid_loops: bool
-    fiber_size: int
-    partition: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        out = {
-            "I": list(one_based(self.left)),
-            "J": list(one_based(self.right)),
-            "K": list(one_based(self.target)),
-            "braid_loops": self.braid_loops,
-            "orders": {str(k): v for k, v in sorted(self.braid_orders.items())},
-            "no_braid_loops": self.no_braid_loops,
-        }
-        if self.empty:
-            out["empty"] = True
-        if self.polygon_loops:
-            out["polygon_loops"] = self.polygon_loops
-            out["polygon_orders"] = {str(k): v for k, v in sorted(self.polygon_orders.items())}
-        return out
-
-
-def monodromy_report(instance: CoveringInstance) -> MonodromyReport:
-    """Lift every relation loop of the target class and tabulate the orders.
+def monodromy_report(instance: CoveringInstance) -> dict:
+    """Lift every relation loop of the target class and tabulate the orders,
+    as the document `monodromy` prints: the instance's `subsets`, then
+    `braid_loops`, `orders` and `no_braid_loops`, `"empty": true` for an
+    empty instance, and `polygon_loops` and `polygon_orders` when the class
+    has polygon loops.  Orders are counted under their decimal string, in
+    ascending order.
 
     Squares and commuting loops are required to act trivially and braid
     loops with order 1 or 2 (OrderViolation otherwise; neither can happen).
@@ -204,27 +179,28 @@ def monodromy_report(instance: CoveringInstance) -> MonodromyReport:
             else:
                 polygon_orders[action.order] = polygon_orders.get(action.order, 0) + 1
     no_braid = counts["braid"] == 0 and counts["polygon"] == 0
-    report = MonodromyReport(
-        left=instance.left, right=instance.right, target=instance.target,
-        empty=instance.is_empty,
-        braid_loops=counts["braid"], braid_orders=braid_orders,
-        polygon_loops=counts["polygon"], polygon_orders=polygon_orders,
-        no_braid_loops=no_braid,
-        fiber_size=instance.fiber_size,
-        partition=multiplicity_partition(instance),
-    )
     if no_braid and not instance.is_empty:
-        _check_trivial_cover(instance, report)
+        _check_trivial_cover(instance)
+    report = {
+        **instance.subsets(),
+        "braid_loops": counts["braid"],
+        "orders": {str(k): n for k, n in sorted(braid_orders.items())},
+        "no_braid_loops": no_braid,
+    }
+    if instance.is_empty:
+        report["empty"] = True
+    if counts["polygon"]:
+        report["polygon_loops"] = counts["polygon"]
+        report["polygon_orders"] = {str(k): n for k, n in sorted(polygon_orders.items())}
     return report
 
 
-def _check_trivial_cover(instance: CoveringInstance, report: MonodromyReport) -> None:
+def _check_trivial_cover(instance: CoveringInstance) -> None:
     """Without braid or polygon loops every component must be a disjoint
     isomorphic copy of the target class."""
-    if report.partition != (1,) * instance.fiber_size:
-        raise InvariantViolation(
-            f"no braid loops but partition {report.partition} is not all ones"
-        )
+    partition = multiplicity_partition(instance)
+    if partition != (1,) * instance.fiber_size:
+        raise InvariantViolation(f"no braid loops but partition {partition} is not all ones")
     if not component_isomorphisms(instance):
         raise InvariantViolation("a degree-1 component is not isomorphic to the target class")
 

@@ -195,11 +195,10 @@ def _sweep_pair(sys: CoxeterSystem, conjugates: Conjugates,
     for target, inst in iter_fibered_graphs(sys, left, right):
         sizes[target] = inst.fiber_size
         res.checked += 1
-        report = verify_covering(inst)
-        if not report.ok:
+        witnesses = verify_covering(inst)
+        if witnesses:
             res.fail(f"covering axioms failed for ({format_subset(left)}, "
-                     f"{format_subset(right)}, {format_subset(target)}): "
-                     f"{report.violations[:1]}")
+                     f"{format_subset(right)}, {format_subset(target)}): {witnesses[0]}")
         _check_lift_dichotomy(sys, inst, res, conjugates)
         monodromy_report(inst)  # raises on any monodromy violation
     oracle = convolution_oracle(sys, left, right).coeffs

@@ -16,12 +16,12 @@ from itertools import permutations
 from typing import Iterable, Sequence
 
 from coxcover.algebra import AlgebraElement, product_expand, x_from_y, y_from_x
-from coxcover.covering import CoveringInstance, multiplicity_partition, unique_lift_edge
+from coxcover.covering import CoveringInstance, unique_lift_edge
 from coxcover.coxeter import _invert_oneline, _permutation_order
 from coxcover.errors import ClassInconstant, InvariantViolation, OrderViolation
-from coxcover.gensets import format_subset, from_one_based
+from coxcover.gensets import format_subset, from_one_based, one_based
 from coxcover.monodromy import (
-    FiberAction, Loop, MonodromyReport, alternating, loop_action, relation_loops)
+    FiberAction, Loop, alternating, loop_action, relation_loops)
 from coxcover.recoil import recoil_class
 from coxcover.words import WordEngine
 
@@ -284,11 +284,12 @@ def reference_loop_action(instance, loop: Loop) -> FiberAction:
     return FiberAction(loop, permutation, _permutation_order(permutation))
 
 
-def reference_monodromy_report(instance) -> MonodromyReport:
+def reference_monodromy_report(instance) -> dict:
     """`monodromy_report` without its involution test for squares or the
     check of a trivial cover: every relation loop of the target class,
     squares included, walks the lift table through `loop_action`, in loop
-    order, and raises as that walk does."""
+    order, and raises as that walk does.  Returns the `monodromy` document,
+    its keys spelled out here."""
     sys = instance.system
     loops = relation_loops(sys, recoil_class(sys, instance.target))
     kinds = Counter(loop.kind for loop in loops)
@@ -301,14 +302,16 @@ def reference_monodromy_report(instance) -> MonodromyReport:
                                  f"acted with order {order}")
         if loop.kind in orders:
             orders[loop.kind][order] += 1
-    return MonodromyReport(
-        left=instance.left, right=instance.right, target=instance.target,
-        empty=instance.is_empty,
-        braid_loops=kinds["braid"], braid_orders=dict(orders["braid"]),
-        polygon_loops=kinds["polygon"], polygon_orders=dict(orders["polygon"]),
-        no_braid_loops=not kinds["braid"] and not kinds["polygon"],
-        fiber_size=instance.fiber_size, partition=multiplicity_partition(instance),
-    )
+    report = {"I": list(one_based(instance.left)), "J": list(one_based(instance.right)),
+              "K": list(one_based(instance.target)), "braid_loops": kinds["braid"],
+              "orders": {str(k): orders["braid"][k] for k in sorted(orders["braid"])},
+              "no_braid_loops": not kinds["braid"] and not kinds["polygon"]}
+    if instance.is_empty:
+        report["empty"] = True
+    if kinds["polygon"]:
+        report["polygon_loops"] = kinds["polygon"]
+        report["polygon_orders"] = {str(k): orders["polygon"][k] for k in sorted(orders["polygon"])}
+    return report
 
 
 def reference_convolution(sys, left: int, right: int) -> AlgebraElement:

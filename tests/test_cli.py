@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import json
@@ -15,10 +16,11 @@ import coxcover
 from coxcover import algebra, cli, coxeter, verify
 from coxcover.algebra import expansion_rows, full_table
 from coxcover.cli import main
-from coxcover.covering import CoveringReport, build_fibered_graph
+from coxcover.covering import build_fibered_graph
 from coxcover.dot import covering_dot
 from coxcover.errors import InvariantViolation, OracleMismatch
 from coxcover.gensets import from_one_based, iter_subsets
+from coxcover.monodromy import monodromy_report
 
 from .conftest import B3_MATRIX, H3_MATRIX
 
@@ -195,10 +197,7 @@ def test_cover_json_and_dot(tmp_path, capsys):
 def test_cover_failed_axioms_exit_1_in_both_formats(capsys, monkeypatch):
     witness = "0 lifts of edge 1324 -- 3124 at vertex (1, 2)"
 
-    def failed(instance):
-        return CoveringReport("failed", True, True, False, [witness])
-
-    monkeypatch.setattr(cli, "verify_covering", failed)
+    monkeypatch.setattr(cli, "verify_covering", lambda instance: [witness])
     argv = ["cover", "--group", "S4", "--left", "1", "--right", "3", "--target", "1,3"]
     assert main(argv) == 1
     assert capsys.readouterr().out.endswith(f"covering axioms FAILED: {witness}\n")
@@ -318,6 +317,26 @@ def test_verify_monodromy_violation_ends_the_run(capsys, monkeypatch):
     assert code == 1
     assert captured.out == "group S3: 6 elements, rank 2\n"
     assert captured.err == "invariant failure: injected monodromy failure\n"
+
+
+def test_verify_prints_the_first_covering_witness_itself(capsys, monkeypatch):
+    # every instance loses its first edge, so the covering check fails at
+    # the first instance that has one; the line holds its first witness
+    real = verify.verify_covering
+
+    def first_edge_dropped(inst):
+        fake = copy.copy(inst)
+        fake.adjacency = [list(nbrs) for nbrs in inst.adjacency]
+        if fake.adjacency and fake.adjacency[0]:
+            v = fake.adjacency[0].pop(0)
+            fake.adjacency[v].remove(0)
+        return real(fake)
+
+    monkeypatch.setattr(verify, "verify_covering", first_edge_dropped)
+    code, out = run_cli(capsys, "verify", "--group", "S3")
+    assert code == 1
+    assert out.splitlines()[-1] == ("covering axioms: FAIL: covering axioms failed for "
+                                    "({}, {1}, {1}): 0 lifts of edge 213 -- 231 at vertex (0, 2)")
 
 
 def test_verify_matrix_file(tmp_path, capsys):
@@ -602,6 +621,14 @@ def test_every_triple_bytes_pinned(capsys, command, name):
         assert sum('"empty": true' in out for out in outs) == 220
 
 
+@pytest.mark.parametrize("name", ["S4", "H3"])
+def test_monodromy_prints_the_library_document(capsys, request, name):
+    sys_ = request.getfixturevalue(name.lower())
+    outs = every_triple_stdout(capsys, "monodromy", RANK3_GROUPS[name])
+    for out, triple in zip(outs, itertools.product(range(8), repeat=3)):
+        assert out == json.dumps(monodromy_report(build_fibered_graph(sys_, *triple))) + "\n"
+
+
 def test_deterministic_output(capsys):
     args = ("table", "--group", "S4", "--format", "json")
     _, first = run_cli(capsys, *args)
@@ -751,8 +778,7 @@ def test_dot_file_survives_the_hard_exit(tmp_path, s4):
 _FAILING_COVER = """
 import runpy, sys
 from coxcover import cli
-from coxcover.covering import CoveringReport
-cli.verify_covering = lambda inst: CoveringReport("failed", True, True, False, ["witness"])
+cli.verify_covering = lambda inst: ["witness"]
 sys.argv[0] = "coxcover"
 runpy.run_module("coxcover", run_name="__main__", alter_sys=True)
 """
