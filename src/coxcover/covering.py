@@ -274,9 +274,10 @@ def verify_covering(instance: CoveringInstance) -> list[str]:
     u: the projections of u's neighbours, counted with multiplicity, must
     be the class neighbours of pi(u), each taken once.  The test compares
     every vertex's list in one pass; only when it fails does a second pass
-    examine each failing vertex for its witnesses: the first neighbour, in
-    edge order, over a non-neighbour of pi(u) breaks edge preservation,
-    and every class neighbour hit n != 1 times gives "n lifts of edge ...".
+    examine each failing vertex for its witnesses: an edge over a
+    non-edge breaks edge preservation, and the first in edge order is a
+    witness; every class neighbour hit n != 1 times gives "n lifts of
+    edge ...".
 
     An empty instance returns []: its projection onto the target class is
     then vacuously non-surjective, a fact about the instance rather than a
