@@ -17,7 +17,6 @@ from .covering import (
     build_fibered_graph,
     iter_fibered_graphs,
     multiplicity_partition,
-    unique_lift_edge,
     verify_covering,
 )
 from .dot import covering_dot

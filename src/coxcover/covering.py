@@ -30,13 +30,14 @@ onto the class neighbours of its image).  It returns the witnesses of
 any violation, and `cover` and `verify` print the first.  The per-fiber
 counts give the structure constants of the descent algebra.
 
-`unique_lift_edge` decides how one in-class step of the product lifts.
-`CoveringInstance.lift_table` asks it once for every in-class step of an
-instance and keeps the answers as vertex ids; that is the only time a step
-is lifted.  `monodromy.loop_action` moves fiber points along relation
-loops through it, `monodromy_report` confirms the square loops by
-checking that it is an involution, and the invariant sweep checks the
-table against a brute force that does not call `unique_lift_edge`.
+Each edge u -- v lifts the Cayley step from pi(u) to pi(v), so the
+wiring already holds the unique lift of every in-class step.
+`CoveringInstance.lift_table` reads those lifts off the adjacency on first
+use and keeps them as vertex ids, raising at a step lifted other than
+once.  `monodromy.loop_action` moves fiber points along relation loops
+through it, `monodromy_report` confirms the square loops by checking that
+it is an involution, and the invariant sweep checks the table against a
+brute force that tries both refactorizations of every step.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ from __future__ import annotations
 from typing import Iterator
 
 from .coxeter import CoxeterSystem
-from .errors import FiberInconstant, InvariantViolation, NotAClassEdge
+from .errors import FiberInconstant, InvariantViolation
 from .gensets import format_subset, one_based
-from .recoil import RecoilClass, recoil_class, simple_conjugate
+from .recoil import RecoilClass, recoil_class
 
 Vertex = tuple[int, int]  # (element index in left class, element index in right class)
 
@@ -159,27 +160,26 @@ class CoveringInstance:
     def lift_table(self) -> list[list[int]]:
         """`lifts[s][u]`: the id of the vertex that lifts the step
         pi(u) -> pi(u)*s from vertex u, or -1 when pi(u)*s leaves the target
-        class.  Each in-class step is lifted once, by `unique_lift_edge`,
-        and the table is kept on the instance."""
+        class.  Read off the adjacency on first use, since each edge u -- v
+        lifts the step from pi(u) to pi(v), and kept on the instance.  A
+        vertex whose neighbours do not lift each in-class step exactly once
+        raises InvariantViolation with the first `verify_covering` witness."""
         if self.lifts is None:
-            sys = self.system
-            right, recoils, order = sys.right_cayley, sys.recoils, len(sys.elements)
-            get, target = self.id_by_key.get, self.target
-            lifts = [[-1] * len(self.vertices) for _ in range(sys.rank)]
-            for u, vertex in enumerate(self.vertices):
-                sigma = self.projection[u]
-                steps = right[sigma]
-                for s, row in enumerate(lifts):
-                    # every product lies in the target class
-                    if recoils[steps[s]] == target:
-                        p, r = unique_lift_edge(sys, vertex, s, sigma)
-                        # both coordinates come from the Cayley tables, so
-                        # the key cannot alias another vertex's
-                        v = get(p * order + r)
-                        if v is None:
-                            raise InvariantViolation(
-                                f"the lift of step s{s + 1} at {vertex} is no vertex")
-                        row[u] = v
+            right, projection = self.system.right_cayley, self.projection
+            class_nbrs = self.target_class.adjacency
+            lifts = [[-1] * len(projection) for _ in range(self.system.rank)]
+            for u, nbrs in enumerate(self.adjacency):
+                steps = right[projection[u]]
+                for v in nbrs:
+                    if projection[v] not in steps:
+                        raise InvariantViolation(verify_covering(self)[0])
+                    row = lifts[steps.index(projection[v])]
+                    if row[u] >= 0:
+                        raise InvariantViolation(verify_covering(self)[0])
+                    row[u] = v
+                # each neighbour filled its own step: a short list missed one
+                if len(nbrs) != len(class_nbrs[projection[u]]):
+                    raise InvariantViolation(verify_covering(self)[0])
             self.lifts = lifts
         return self.lifts
 
@@ -318,37 +318,3 @@ def verify_covering(instance: CoveringInstance) -> list[str]:
                     )
     return witnesses + bad_edges[:1] + bad_lifts  # the first bad edge in edge order
 
-
-def unique_lift_edge(sys: CoxeterSystem, vertex: Vertex, s: int,
-                     sigma: int) -> Vertex:
-    """Lift one in-class step of the product through the factorization.
-
-    Given a vertex (pi, rho) whose product sigma moves to sigma*s inside its
-    recoil class, exactly one of two refactorings works: either rho*s stays
-    in rho's class (the right coordinate moves by s), or rho s rho^-1 is a
-    simple generator t and pi*t stays in pi's class (the left coordinate
-    moves by t).  Returns the new vertex; the side follows from it, since a
-    right lift changes rho and a left lift changes pi.
-
-    `sigma` is the product pi*rho, as an instance's `projection` holds it;
-    nothing is multiplied out.  t is read off the tables by
-    `simple_conjugate`, since rho*s = t*rho.
-    """
-    p, r = vertex
-    right, recoils = sys.right_cayley, sys.recoils
-    sigma2 = right[sigma][s]
-    if recoils[sigma2] != recoils[sigma]:
-        raise NotAClassEdge(
-            f"step {sys.format_index(sigma)} -> {sys.format_index(sigma2)} "
-            "leaves the recoil class"
-        )
-    r2 = right[r][s]
-    if recoils[r2] == recoils[r]:
-        return p, r2
-    t = simple_conjugate(sys, r, s)
-    if t is None:
-        raise InvariantViolation("neither factorization of the lifted step is valid")
-    p2 = right[p][t]
-    if recoils[p2] != recoils[p]:
-        raise InvariantViolation("left factorization left the first coordinate's class")
-    return p2, r

@@ -9,10 +9,11 @@ them all, squares included, with one walker over the Cayley table.
 
 Lifting such a loop through a covering instance permutes the fiber over its
 base point.  `loop_action` walks vertex ids through the instance's lift
-table (`CoveringInstance.lift_table`), which `unique_lift_edge` fills once
-per in-class step, so a step shared by many loops is lifted once.  Squares
-and commuting loops always act trivially; braid loops act with order 1 or
-2; polygon orders are measured and reported without asserting a bound.
+table (`CoveringInstance.lift_table`), read once off the instance's
+adjacency, so a step shared by many loops costs one lookup per walk.
+Squares and commuting loops always act trivially; braid loops act with
+order 1 or 2; polygon orders are measured and reported without asserting
+a bound.
 
 A square (s, s) is the relation s^2 = 1: its lift from u ends at u exactly
 when lifts[s][lifts[s][u]] == u.  `monodromy_report` walks the loops once,

@@ -98,16 +98,6 @@ def conjugated_generator(sys: CoxeterSystem, w: int, s: int) -> int | None:
     return sys.gen_of.get(conj)
 
 
-def simple_conjugate(sys: CoxeterSystem, w: int, s: int) -> int | None:
-    """The generator index t with w s w^-1 = t, or None when the conjugate
-    is not simple, read off the tables: w*s = t*w, so t is the position of
-    w*s in w's row of the left Cayley table.  No multiplication; the tests
-    compare it with `conjugated_generator`."""
-    row = sys.left_cayley[w]
-    ws = sys.right_cayley[w][s]
-    return row.index(ws) if ws in row else None
-
-
 def positional_same_class(sys: CoxeterSystem, w: int, s: int) -> bool:
     """Type-A criterion: the swapped one-line entries differ by at least 2."""
     p = sys.elements[w]

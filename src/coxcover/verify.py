@@ -12,17 +12,18 @@ product is built once, handed to all three, and dropped before the next;
 only its fiber size is kept.  Each product's convolution oracle runs in
 the sweep too, after its instances, and the algebra check compares the
 two.  The covering axioms are one local-bijection test per vertex.  The
-lift dichotomy fills the instance's lift table, which lifts each in-class
-step once by `unique_lift_edge`, and checks every entry against a brute
-force that tries both refactorizations by multiplication and shares no
-code with it; its conjugates rho s rho^-1 are those the class-edge check
-multiplied out.  The
-monodromy check reads its loops off that table, so no step is lifted
-twice, and counts one check per instance.
+lift dichotomy fills the instance's lift table, which reads each in-class
+step's lift off the wiring, and checks every entry against a brute force
+that tries both refactorizations by multiplication; so the constructor's
+wiring, left-move filter included, is checked against a rule it does not
+use.  The dichotomy's conjugates rho s rho^-1 are those the class-edge
+check multiplied out.  The monodromy check reads its loops off that
+table, and counts one check per instance.
 
 One error rule: whatever raises for a product in the sweep (a monodromy
 violation, a braid loop of order above 2 included, a fiber that is not
-constant, a class that cannot be built, or the product's oracle) raises
+constant, a step that an instance's wiring lifts other than once, a class
+that cannot be built, or the product's oracle) raises
 at that product, in product order, before the algebra check runs; the
 CLI then prints the group header and one `invariant failure:` line, and
 exits 1.  `fan_out` computes the products on every CPU, with the results

@@ -2,8 +2,9 @@
 never touches the library's tables, and reference code for theorems the
 tests check (a union-find for components, cycle ranks of class graphs, the
 positional braid criterion, relation loops found one walk at a time,
-loop actions lifted one step at a time, monodromy reports that walk every
-loop, base-point independence of loop actions), the S_n tables built by swapping
+loop actions lifted one step at a time by the reference lift
+`unique_lift_edge`, monodromy reports that walk every loop, base-point
+independence of loop actions), the S_n tables built by swapping
 one-line entries, the convolution tallied by one word walk per pair, and
 the algebra product, which only the tests use, and a call counter that
 forked workers share."""
@@ -16,9 +17,9 @@ from itertools import permutations
 from typing import Iterable, Sequence
 
 from coxcover.algebra import AlgebraElement, product_expand, x_from_y, y_from_x
-from coxcover.covering import CoveringInstance, unique_lift_edge
+from coxcover.covering import CoveringInstance
 from coxcover.coxeter import _invert_oneline, _permutation_order
-from coxcover.errors import ClassInconstant, InvariantViolation, OrderViolation
+from coxcover.errors import ClassInconstant, InvariantViolation, NotAClassEdge, OrderViolation
 from coxcover.gensets import format_subset, from_one_based, one_based
 from coxcover.monodromy import (
     FiberAction, Loop, alternating, loop_action, relation_loops)
@@ -247,6 +248,51 @@ def reference_relation_loops(sys, cls) -> list[Loop]:
                 kind = "commuting" if m == 2 else "braid" if m == 3 else "polygon"
                 loops.append(Loop(base, alternating(s, t, 2 * m), kind))
     return loops
+
+
+def simple_conjugate(sys, w: int, s: int) -> int | None:
+    """The generator index t with w s w^-1 = t, or None when the conjugate
+    is not simple, read off the tables: w*s = t*w, so t is the position of
+    w*s in w's row of the left Cayley table.  No multiplication; the tests
+    compare it with `conjugated_generator`."""
+    row = sys.left_cayley[w]
+    ws = sys.right_cayley[w][s]
+    return row.index(ws) if ws in row else None
+
+
+def unique_lift_edge(sys, vertex: tuple[int, int], s: int, sigma: int) -> tuple[int, int]:
+    """The reference lift of one in-class step of the product through the
+    factorization, by a rule that does not read any instance's wiring.
+
+    Given a vertex (pi, rho) whose product sigma moves to sigma*s inside its
+    recoil class, exactly one of two refactorings works: either rho*s stays
+    in rho's class (the right coordinate moves by s), or rho s rho^-1 is a
+    simple generator t and pi*t stays in pi's class (the left coordinate
+    moves by t).  Returns the new vertex; the side follows from it, since a
+    right lift changes rho and a left lift changes pi.
+
+    `sigma` is the product pi*rho, as an instance's `projection` holds it;
+    nothing is multiplied out.  t is read off the tables by
+    `simple_conjugate`, since rho*s = t*rho.
+    """
+    p, r = vertex
+    right, recoils = sys.right_cayley, sys.recoils
+    sigma2 = right[sigma][s]
+    if recoils[sigma2] != recoils[sigma]:
+        raise NotAClassEdge(
+            f"step {sys.format_index(sigma)} -> {sys.format_index(sigma2)} "
+            "leaves the recoil class"
+        )
+    r2 = right[r][s]
+    if recoils[r2] == recoils[r]:
+        return p, r2
+    t = simple_conjugate(sys, r, s)
+    if t is None:
+        raise InvariantViolation("neither factorization of the lifted step is valid")
+    p2 = right[p][t]
+    if recoils[p2] != recoils[p]:
+        raise InvariantViolation("left factorization left the first coordinate's class")
+    return p2, r
 
 
 def conjugate_action(instance, loop: Loop, path_word: tuple[int, ...]) -> FiberAction:

@@ -13,7 +13,7 @@ import time
 import pytest
 
 import coxcover
-from coxcover import algebra, cli, coxeter, verify
+from coxcover import algebra, cli, covering, coxeter, verify
 from coxcover.algebra import expansion_rows, full_table
 from coxcover.cli import main
 from coxcover.covering import build_fibered_graph
@@ -337,6 +337,40 @@ def test_verify_prints_the_first_covering_witness_itself(capsys, monkeypatch):
     assert code == 1
     assert out.splitlines()[-1] == ("covering axioms: FAIL: covering axioms failed for "
                                     "({}, {1}, {1}): 0 lifts of edge 213 -- 231 at vertex (0, 2)")
+
+
+def _drop_edge(adjacency, u, v):
+    adjacency[u].remove(v)
+    adjacency[v].remove(u)
+
+
+def _duplicate_neighbour(adjacency, u, v):
+    adjacency[u].insert(adjacency[u].index(v), v)
+
+
+@pytest.mark.parametrize("miswire, lifts", [(_drop_edge, 0), (_duplicate_neighbour, 2)],
+                         ids=["dropped-edge", "duplicated-neighbour"])
+def test_a_miswired_instance_fails_at_the_step(capsys, monkeypatch, miswire, lifts):
+    # every real instance is miswired at its first edge; the lift table
+    # refuses it with the step's covering witness, before any loop is lifted
+    wire = covering.CoveringInstance.__init__
+
+    def miswired(self, *args):
+        wire(self, *args)
+        if self.edges:
+            miswire(self.adjacency, *self.edges[0])
+
+    monkeypatch.setattr(covering.CoveringInstance, "__init__", miswired)
+    assert main(["monodromy", "--group", "S4", "--left", "2,3", "--right", "1,3",
+                 "--target", "1,3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"invariant failure: {lifts} lifts of edge 4213 -- 4231 at vertex (9, 11)\n"
+    assert main(["verify", "--group", "S3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "group S3: 6 elements, rank 2\n"
+    assert captured.err == f"invariant failure: {lifts} lifts of edge 213 -- 231 at vertex (0, 2)\n"
 
 
 def test_verify_matrix_file(tmp_path, capsys):

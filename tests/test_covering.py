@@ -9,13 +9,13 @@ import pytest
 from coxcover import (
     CoveringInstance,
     FiberInconstant,
+    InvariantViolation,
     NotAClassEdge,
     build_fibered_graph,
     covering_dot,
     iter_fibered_graphs,
     multiplicity_partition,
     recoil_class,
-    unique_lift_edge,
     verify_covering,
 )
 from coxcover.gensets import iter_subsets
@@ -23,7 +23,7 @@ from coxcover.recoil import conjugated_generator, same_class_edge_index
 
 from .support import (
     UnionFind, class_cycle_rank, class_edges, compose, cycle_rank, instance_fields,
-    lift_side, oracle_class, oracle_class_edges, perm, perm_index, subset)
+    lift_side, oracle_class, oracle_class_edges, perm, perm_index, subset, unique_lift_edge)
 
 
 def test_s4_instance_1_3_13(s4):
@@ -138,18 +138,67 @@ def test_covering_axioms_fail_on_a_duplicated_neighbour(s4):
     assert f"2 lifts of edge {pu} -- {pv} at vertex {inst.vertices[u]}" in witnesses
 
 
-def test_covering_axioms_fail_on_an_edge_over_a_non_edge(s4):
-    inst = build_fibered_graph(s4, subset(1), subset(3), subset(1, 3))
+def _non_edge(inst) -> tuple[int, int]:
+    """The first pair u < v of vertices over distinct, non-adjacent points."""
     cls = inst.target_class
-    u, v = next((u, v) for u in range(len(inst.vertices))
+    return next((u, v) for u in range(len(inst.vertices))
                 for v in range(u + 1, len(inst.vertices))
                 if inst.projection[u] != inst.projection[v]
                 and inst.projection[v] not in cls.adjacency[inst.projection[u]])
+
+
+def test_covering_axioms_fail_on_an_edge_over_a_non_edge(s4):
+    inst = build_fibered_graph(s4, subset(1), subset(3), subset(1, 3))
+    u, v = _non_edge(inst)
     witnesses = verify_covering(_rewired(inst, inst.edges + [(u, v)]))
     assert _kinds(witnesses) == {"projects to non-edge"}
     pu, pv = (s4.format_index(inst.projection[x]) for x in (u, v))
     assert witnesses == [
         f"edge {inst.vertices[u]} -- {inst.vertices[v]} projects to non-edge {pu} -- {pv}"]
+
+
+def _swapped_lifts(inst):
+    """The edges of the instance with two points u, u' of one fiber
+    trading lifts: u lifts step s twice and t never, u' the reverse, and
+    every vertex keeps its degree."""
+    lifts = inst.lift_table()
+    u, u2 = next(f for f in inst.fibers.values() if len(f) > 1)[:2]
+    s, t = [s for s, row in enumerate(lifts) if row[u] >= 0][:2]
+    x, v2 = lifts[t][u], lifts[s][u2]
+    drop = {(min(u, x), max(u, x)), (min(u2, v2), max(u2, v2))}
+    return [e for e in inst.edges if e not in drop] + [(min(u, v2), max(u, v2)),
+                                                       (min(u2, x), max(u2, x))]
+
+
+@pytest.mark.parametrize("miswire", [
+    lambda inst: inst.edges[1:],
+    lambda inst: inst.edges + inst.edges[:1],
+    lambda inst: inst.edges + [_non_edge(inst)],
+    _swapped_lifts,
+], ids=["dropped-edge", "duplicated-neighbour", "over-a-non-edge", "swapped-lifts"])
+def test_lift_table_refuses_a_miswired_instance(s5, miswire):
+    # the table is read off the wiring, so a wiring that is no covering
+    # raises at its first failing vertex, with the first covering witness;
+    # swapped lifts keep every degree and fail only the two-lift test
+    inst = build_fibered_graph(s5, subset(2, 3), subset(3, 4), subset(1, 3))
+    fake = _rewired(inst, miswire(inst))
+    fake.lifts = None
+    witnesses = verify_covering(fake)
+    assert witnesses
+    with pytest.raises(InvariantViolation) as raised:
+        fake.lift_table()
+    assert str(raised.value) == witnesses[0]
+    assert fake.lifts is None
+
+
+def test_covering_axioms_fail_on_an_emptied_fiber(s4):
+    # the constructor refuses an empty fiber (FiberInconstant), so only an
+    # instance changed after construction reaches the surjectivity witness
+    inst = build_fibered_graph(s4, subset(1), subset(3), subset(1, 3))
+    t = inst.target_class.members[-1]
+    fake = copy.copy(inst)
+    fake.fibers = {**inst.fibers, t: []}
+    assert verify_covering(fake) == ["no vertex projects onto 4231"]
 
 
 INSTANCE_FIELDS = ("left", "right", "target", "vertices", "projection", "edges",
@@ -288,8 +337,9 @@ def test_unique_lift_with_known_product_matches_multiplied(group, request):
     assert steps > 0
 
 
-def test_lift_table_holds_the_unique_lifts(s4, i6, b3, h3):
-    for sys_ in (s4, i6, b3, h3):
+def test_lift_table_holds_the_unique_lifts(s4, s5, i6, b3, h3):
+    # the table read off the wiring against the reference lift rule
+    for sys_ in (s4, s5, i6, b3, h3):
         in_class = 0
         for left in iter_subsets(sys_.rank):
             for right in iter_subsets(sys_.rank):

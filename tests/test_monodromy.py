@@ -18,7 +18,6 @@ from coxcover import (
     multiplicity_partition,
     recoil_class,
     relation_loops,
-    unique_lift_edge,
 )
 from coxcover.errors import InvariantViolation, NotAClassEdge, OrderViolation
 from coxcover.gensets import iter_subsets
@@ -26,7 +25,8 @@ from coxcover.recoil import RecoilClass
 
 from .support import (
     braid_loop_exists_positional, conjugate_action, perm, perm_index,
-    reference_loop_action, reference_monodromy_report, reference_relation_loops, subset)
+    reference_loop_action, reference_monodromy_report, reference_relation_loops, subset,
+    unique_lift_edge)
 
 FLAGSHIP = (subset(2, 3), subset(3, 4), subset(1, 3))
 

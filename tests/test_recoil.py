@@ -13,12 +13,12 @@ from coxcover.recoil import (
     class_interval_matches,
     positional_same_class,
     same_class_edge_index,
-    simple_conjugate,
 )
 
 from .conftest import B3_MATRIX, H3_MATRIX
 from .support import (
-    UnionFind, class_edges, oracle_class, oracle_class_edges, perm, perm_index, subset)
+    UnionFind, class_edges, oracle_class, oracle_class_edges, perm, perm_index,
+    simple_conjugate, subset)
 
 
 def test_class_y3_is_a_path(s4):

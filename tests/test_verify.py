@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import os
+import sys as _sys
 
 import pytest
 
 from coxcover import (
-    algebra, build_fibered_graph, convolution_oracle, covering, monodromy, verify)
+    algebra, build_fibered_graph, convolution_oracle, covering, verify)
 from coxcover.gensets import iter_subsets
 from coxcover.verify import CheckResult, run_invariant_sweep
 
@@ -37,40 +38,48 @@ def test_sweep_builds_each_instance_once(group, request, monkeypatch, tally):
 
 
 @pytest.mark.parametrize("group", ["s4", "i6"])
-def test_sweep_lifts_each_in_class_step_exactly_once(group, request, monkeypatch, tally):
-    # filling the lift table is the only lift; the dichotomy checks the
-    # table against its brute force and the relation loops read the table
+def test_sweep_fills_each_lift_table_once(group, request, monkeypatch, tally):
+    # the lift table is read off each instance's wiring once; the dichotomy
+    # checks it against its brute force and the relation loops read it
     sys_ = request.getfixturevalue(group)
-    lift = covering.unique_lift_edge
+    table = covering.CoveringInstance.lift_table
 
-    def counting(*args):
-        tally.add()
-        return lift(*args)
+    def counting(self):
+        if self.lifts is None:
+            tally.add()
+        return table(self)
 
-    # verify holds no such name (raising=False); patching it there anyway
-    # counts the calls of any import that would bring one in
-    for module in (covering, verify, monodromy):
-        monkeypatch.setattr(module, "unique_lift_edge", counting, raising=False)
+    monkeypatch.setattr(covering.CoveringInstance, "lift_table", counting)
     results = {r.name: r.checked for r in run_invariant_sweep(sys_)}
-    calls = len(tally.pids())
     non_empty = results["monodromy"]
     # one monodromy check per non-zero structure constant, counted apart
     # from the sweep's records
     assert non_empty == sum(len(algebra.product_expand(sys_, left, right).coeffs)
                             for left in iter_subsets(sys_.rank)
                             for right in iter_subsets(sys_.rank))
-    in_class_steps = results["covering axioms"] - non_empty  # one check per instance besides
-    assert in_class_steps > 0
-    assert calls == in_class_steps
+    assert len(tally.pids()) == non_empty
+    # no second lift rule is left in the package
+    assert not [name for name, module in _sys.modules.items()
+                if name.split(".")[0] == "coxcover" and hasattr(module, "unique_lift_edge")]
 
 
 @pytest.mark.parametrize("group, start", [("s4", "(0, 3) s2"), ("i6", "(0, 1) s2")],
                          ids=["s4", "i6"])
-def test_lift_dichotomy_does_not_trust_unique_lift_edge(group, start, request, monkeypatch):
-    # a lift that does not move fills the table with the vertex itself;
-    # only the brute force can tell
+def test_lift_dichotomy_does_not_trust_the_wiring(group, start, request, monkeypatch):
+    # a table whose every lift stays at its own vertex walks each relation
+    # loop to the identity; only the brute force can tell
     sys_ = request.getfixturevalue(group)
-    monkeypatch.setattr(covering, "unique_lift_edge", lambda sys, vertex, s, sigma: vertex)
+    table = covering.CoveringInstance.lift_table
+
+    def unmoved(self):
+        lifts = table(self)
+        for row in lifts:
+            for u, v in enumerate(row):
+                if v >= 0:
+                    row[u] = u
+        return lifts
+
+    monkeypatch.setattr(covering.CoveringInstance, "lift_table", unmoved)
     results = {r.name: r for r in run_invariant_sweep(sys_)}
     assert results["covering axioms"].failures[0] == \
         f"lift table disagrees with brute force at {start}"
