@@ -60,7 +60,7 @@ class CoveringInstance:
     the components.  `lifts` is filled by `lift_table` on first use."""
 
     __slots__ = ("left", "right", "target", "system", "left_class", "right_class",
-                 "target_class", "vertices", "id_by_key", "projection", "adjacency",
+                 "target_class", "vertices", "projection", "adjacency",
                  "fibers", "component", "degrees", "fiber_size", "lifts")
 
     def __init__(self, sys: CoxeterSystem, cls_l: RecoilClass, cls_r: RecoilClass,
@@ -71,9 +71,9 @@ class CoveringInstance:
         self.vertices = vertices        # sorted pairs of element indices
         self.projection = projection    # vertex id -> element index of the product
         order = len(sys.elements)
-        # pi*|W| + rho -> vertex id
-        self.id_by_key = id_by_key = {p * order + r: i for i, (p, r) in enumerate(vertices)}
-        get, right_cayley = id_by_key.get, sys.right_cayley
+        # pi*|W| + rho -> vertex id, needed only while wiring
+        get = {p * order + r: i for i, (p, r) in enumerate(vertices)}.get
+        right_cayley = sys.right_cayley
         adj_l, adj_r = cls_l.adjacency, cls_r.adjacency
 
         # vertex id -> neighbour ids.  Ids ascend with the pairs, so a move

@@ -370,7 +370,8 @@ def test_a_miswired_instance_fails_at_the_step(capsys, monkeypatch, miswire, lif
     assert main(["verify", "--group", "S3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "group S3: 6 elements, rank 2\n"
-    assert captured.err == f"invariant failure: {lifts} lifts of edge 213 -- 231 at vertex (0, 2)\n"
+    assert captured.err == \
+        f"invariant failure: {lifts} lifts of edge 213 -- 231 at vertex (0, 2)\n"
 
 
 def test_verify_matrix_file(tmp_path, capsys):
