@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Groups are named "S<n>" (symmetric), "I<m>" (dihedral of order 2m) or
-"matrix:<path>" where the file holds {"rank": r, "m": [[...]], "element_cap": c}.
+"matrix:<path>" where the file holds {"rank": r, "m": [[...]], "element_cap": c};
+it must be a regular file of at most 1 MB.
 Subsets are comma-separated 1-based generator indices; the empty string is
 the empty set, and s/t alias 1/2 in every group.
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys as _sys
 
 from .algebra import expansion_rows, table_json
@@ -37,7 +39,7 @@ from .coxeter import CoxeterSpec, CoxeterSystem, DEFAULT_ELEMENT_CAP, build_syst
 from .covering import build_fibered_graph, multiplicity_partition, verify_covering
 from .dot import covering_dot
 from .errors import CapExceeded, CoxeterError, InvalidSpec
-from .gensets import format_subset, iter_subsets, one_based, parse_subset
+from .gensets import _echo, format_subset, iter_subsets, one_based, parse_subset
 from .monodromy import monodromy_report
 from .verify import run_invariant_sweep
 
@@ -46,6 +48,12 @@ EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what shells report for `cat` in that case
+
+# a Coxeter matrix under any element cap is a few kilobytes
+MATRIX_FILE_LIMIT = 1 << 20
+# bytes of a path or group text that an error echoes in full; past that it
+# is shortened, so that every error stays one line of at most 200 bytes
+ECHO_WIDTH = 48
 
 
 class UsageError(Exception):
@@ -66,25 +74,51 @@ def parse_group(text: str, cap: int | None) -> CoxeterSpec:
             return CoxeterSpec.symmetric(value, element_cap=cap_value)
         return CoxeterSpec.dihedral(value, element_cap=cap_value)
     if text.startswith("matrix:"):
-        path = text[len("matrix:"):]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        # ValueError covers bad JSON, bad UTF-8 and over-long integer
-        # literals; RecursionError covers too deep nesting
-        except (OSError, ValueError, RecursionError) as exc:
-            raise UsageError(f"cannot read matrix file {path}: {exc}") from None
-        if not isinstance(data, dict):
-            raise UsageError(f"matrix file {path} must hold a JSON object")
-        if "m" not in data:
-            raise UsageError(f"matrix file {path} has no 'm' entry")
+        data = _read_matrix(text[len("matrix:"):])
         spec = CoxeterSpec.from_matrix(
             data["m"], element_cap=data.get("element_cap", DEFAULT_ELEMENT_CAP))
         rank = data.get("rank")
         if rank is not None and (type(rank) is not int or rank != spec.rank):
             raise UsageError(f"declared rank {rank!r} does not match the matrix")
         return spec if cap is None else spec._replace(element_cap=cap)
-    raise UsageError(f"cannot parse group {text!r} (expected S<n>, I<m> or matrix:<path>)")
+    raise UsageError(f"cannot parse group {_echo(text, ECHO_WIDTH)} "
+                     "(expected S<n>, I<m> or matrix:<path>)")
+
+
+def _read_matrix(path: str) -> dict:
+    """The JSON object in a matrix file, with an 'm' entry.  The file is
+    opened without blocking, so a FIFO with no writer cannot hang the open;
+    anything but a regular file is refused before a byte is read, and so is
+    a file over MATRIX_FILE_LIMIT bytes.  Every refusal is one short line."""
+    shown = _echo(path, ECHO_WIDTH)
+    try:
+        with os.fdopen(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                raise UsageError(f"matrix file {shown} is not a regular file")
+            raw = fh.read(MATRIX_FILE_LIMIT + 1)
+    except OSError as exc:
+        raise UsageError(f"cannot read matrix file {shown}: {exc.strerror}") from None
+    except ValueError as exc:  # a NUL in the path
+        raise UsageError(f"cannot read matrix file {shown}: {exc}") from None
+    if len(raw) > MATRIX_FILE_LIMIT:
+        raise UsageError(f"matrix file {shown} is over {MATRIX_FILE_LIMIT} bytes")
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        reason = f"byte {exc.start} is not UTF-8"
+    except RecursionError:
+        reason = "nested too deeply"
+    except json.JSONDecodeError as exc:
+        reason = f"{exc.msg} at character {exc.pos}"
+    except ValueError:  # an integer literal past sys.get_int_max_str_digits()
+        reason = "an integer has too many digits"
+    else:
+        if not isinstance(data, dict):
+            raise UsageError(f"matrix file {shown} must hold a JSON object")
+        if "m" not in data:
+            raise UsageError(f"matrix file {shown} has no 'm' entry")
+        return data
+    raise UsageError(f"cannot decode matrix file {shown}: {reason}")
 
 
 def _build(args) -> CoxeterSystem:
@@ -141,10 +175,15 @@ def cmd_cover(args) -> int:
     witnesses = verify_covering(inst)
     if args.dot:
         try:
-            with open(args.dot, "w", encoding="utf-8") as fh:
+            # a FIFO with no reader fails the non-blocking open (ENXIO)
+            # instead of hanging it; writes block as usual once it is open
+            fd = os.open(args.dot, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK, 0o666)
+            os.set_blocking(fd, True)
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(covering_dot(inst))
         except OSError as exc:
-            raise UsageError(f"cannot write DOT file {args.dot}: {exc.strerror}") from None
+            raise UsageError(f"cannot write DOT file {_echo(args.dot, ECHO_WIDTH)}: "
+                             f"{exc.strerror}") from None
     if args.format == "json":
         print(json.dumps(inst.to_json()))
         if witnesses:

@@ -10,13 +10,14 @@ a conjugate that need not be simple).  The graph is stored once, as
 ascending adjacency lists of vertex ids; `edges` reads (u, v) pairs off
 them, and an edge's moved coordinate and generator follow from u and v.
 
-`build_fibered_graph` builds one instance (I, J, K) from a scan of the
-product filtered on K.  `iter_fibered_graphs` builds every non-empty
-instance of (I, J) from a single scan, bucketed by the recoil set of each
-product; both hand their vertices to the `CoveringInstance` constructor,
-so an instance is identical whichever way it was built.  It wires the
-adjacency, labels the components by a search over it and checks that
-every fiber splits the same way across them (FiberInconstant otherwise).
+The vertices come from one scan of the |Y_I|*|Y_J| products, `_scan`,
+which buckets the pairs by the recoil set of their product, for the
+targets asked: `build_fibered_graph` asks for K alone, and
+`iter_fibered_graphs` for every target at once.  Both hand a bucket to the
+`CoveringInstance` constructor, so an instance is identical whichever way
+it was built.  It wires the adjacency, labels the components by a search
+over it and checks that every fiber splits the same way across them
+(FiberInconstant otherwise).
 `CoveringInstance.subsets` builds the keys I, J and K once, for both
 `row`, the one definition of a `table` row, and the `monodromy` document;
 `cover --format json` prints the row with the vertex count added.
@@ -42,11 +43,11 @@ brute force that tries both refactorizations of every step.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .coxeter import CoxeterSystem
 from .errors import FiberInconstant, InvariantViolation
-from .gensets import format_subset, one_based
+from .gensets import format_subset, iter_subsets, one_based
 from .recoil import RecoilClass, recoil_class
 
 Vertex = tuple[int, int]  # (element index in left class, element index in right class)
@@ -204,58 +205,55 @@ class CoveringInstance:
         return {**self.row(), "vertices": len(self.vertices)}
 
 
+def _scan(sys: CoxeterSystem, cls_l: RecoilClass, cls_r: RecoilClass,
+          targets: Iterable[int]) -> dict[int, tuple[list[Vertex], list[int]]]:
+    """The one pass over the product of two classes: for each recoil set
+    in `targets`, a bucket (vertices, projection) of the pairs (p, r) whose
+    product lands in that class, in ascending order, and their products.
+    A pair whose product lands in no wanted class is dropped."""
+    buckets = {target: ([], []) for target in targets}
+    bucket_of, recoils, multiply = buckets.get, sys.recoils, sys.multiply_index
+    members_r = cls_r.members
+    for p in cls_l.members:
+        for r in members_r:
+            prod = multiply(p, r)
+            bucket = bucket_of(recoils[prod])
+            if bucket is not None:
+                bucket[0].append((p, r))
+                bucket[1].append(prod)
+    return buckets
+
+
 def build_fibered_graph(sys: CoxeterSystem, left: int, right: int,
                         target: int) -> CoveringInstance:
-    """Filter the full product of two classes on the product's recoil set;
-    the instance wires up its adjacency, fibers, components and
-    per-component degrees.
+    """Scan the product of two classes for the pairs whose product lands
+    in the target class; the instance wires up its adjacency, fibers,
+    components and per-component degrees.
 
     An empty instance (structure constant 0) is valid data, not an error.
     """
     cls_l = recoil_class(sys, left)
     cls_r = recoil_class(sys, right)
     cls_t = recoil_class(sys, target)  # refuses a target outside the rank before the scan
-
-    vertices: list[Vertex] = []
-    projection: list[int] = []
-    for p in cls_l.members:
-        for r in cls_r.members:
-            prod = sys.multiply_index(p, r)
-            if sys.recoils[prod] == target:
-                vertices.append((p, r))
-                projection.append(prod)
+    vertices, projection = _scan(sys, cls_l, cls_r, (target,))[target]
     return CoveringInstance(sys, cls_l, cls_r, cls_t, vertices, projection)
 
 
 def iter_fibered_graphs(sys: CoxeterSystem, left: int,
                         right: int) -> Iterator[tuple[int, CoveringInstance]]:
     """Every non-empty instance of the product of two classes, as
-    (target, instance) in ascending target order.
-
-    One pass over the product buckets each pair by the recoil set of its
-    product; bucket K holds exactly the vertices `build_fibered_graph`
-    would find for target K, in the same order.  Instances are wired one at
-    a time as they are requested, so a consumer holds only what it keeps.
+    (target, instance) in ascending target order, from one scan that
+    buckets every target.  Instances are wired one at a time as they are
+    requested, so a consumer holds only what it keeps.
     """
     cls_l = recoil_class(sys, left)
     cls_r = recoil_class(sys, right)
-
-    buckets: dict[int, tuple[list[Vertex], list[int]]] = {}
-    recoils = sys.recoils
-    multiply = sys.multiply_index
-    for p in cls_l.members:
-        for r in cls_r.members:
-            prod = multiply(p, r)
-            key = recoils[prod]
-            bucket = buckets.get(key)
-            if bucket is None:
-                bucket = buckets[key] = ([], [])
-            bucket[0].append((p, r))
-            bucket[1].append(prod)
-    for target in sorted(buckets):
+    buckets = _scan(sys, cls_l, cls_r, iter_subsets(sys.rank))
+    for target in iter_subsets(sys.rank):
         vertices, projection = buckets.pop(target)
-        yield target, CoveringInstance(sys, cls_l, cls_r, recoil_class(sys, target),
-                                       vertices, projection)
+        if vertices:
+            yield target, CoveringInstance(sys, cls_l, cls_r, recoil_class(sys, target),
+                                           vertices, projection)
 
 
 def multiplicity_partition(instance: CoveringInstance) -> tuple[int, ...]:

@@ -86,12 +86,20 @@ def parse_subset(text: str, rank: int) -> int:
     return mask
 
 
-def _echo(part: str) -> str:
-    """The repr of a bad index, or past 26 characters the repr of its first
-    8 characters and its length, so that a message echoing hostile input
-    stays one short line, as `_decimal` keeps a huge number short."""
-    text = repr(part)
-    return text if len(text) <= 26 else f"{part[:8]!r}...({len(part)} characters)"
+def _echo(text: str, width: int = 26) -> str:
+    """The repr of echoed input (a bad index, a path, a group name), or,
+    past `width` bytes, the repr of its first `width // 3` characters or
+    fewer and its length, so that a message echoing hostile input stays one
+    short line, as `_decimal` keeps a huge number short.  A repr escapes
+    line breaks, and the shortened one has at most `width // 3 + 2`
+    characters of at most 4 bytes each."""
+    shown = repr(text)
+    if len(shown.encode()) <= width:
+        return shown
+    head = text[:width // 3]
+    while len(repr(head)) > width // 3 + 2:  # escapes widen a repr
+        head = head[:-1]
+    return f"{head!r}...({len(text)} characters)"
 
 
 if __name__ == "__main__":

@@ -6,8 +6,9 @@ loop actions lifted one step at a time by the reference lift
 `unique_lift_edge`, monodromy reports that walk every loop, base-point
 independence of loop actions), the S_n tables built by swapping
 one-line entries, the convolution tallied by one word walk per pair, and
-the algebra product, which only the tests use, and a call counter that
-forked workers share."""
+the algebra product, which only the tests use, a product table built from
+one-line forms or canonical words alone, and a call counter that forked
+workers share."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from coxcover.algebra import AlgebraElement, product_expand, x_from_y, y_from_x
 from coxcover.covering import CoveringInstance
 from coxcover.coxeter import _invert_oneline, _permutation_order
 from coxcover.errors import ClassInconstant, InvariantViolation, NotAClassEdge, OrderViolation
-from coxcover.gensets import format_subset, from_one_based, one_based
+from coxcover.gensets import format_subset, from_bits, from_one_based, one_based
 from coxcover.monodromy import (
     FiberAction, Loop, alternating, loop_action, relation_loops)
 from coxcover.recoil import recoil_class
@@ -138,6 +139,37 @@ def reference_words(matrix) -> tuple[list[tuple[int, ...]], list[list[int]]]:
                 right[idx][s] = u
             level.append(idx)
     return elements, right
+
+
+def reference_products(sys) -> tuple[list, list[int], list[list[int]]]:
+    """Elements, recoil sets and full product table of the group of `sys`,
+    made from its spec alone, never reading `multiply_index` or
+    `right_cayley`.  S_n takes the one-line forms in the library's order
+    (by inversions, stably over lex order), multiplies them by `compose`
+    and reads recoils off positions.  Every other group takes the elements
+    of `reference_words`, multiplies by walking the braid-move engine's
+    canonical words one letter at a time, and finds the recoil set of w as
+    the generators s with s*w shorter than w."""
+    if sys.kind == "symmetric":
+        n = sys.rank + 1
+        elements = sorted(permutations(range(1, n + 1)), key=oracle_inversions)
+        index = {p: i for i, p in enumerate(elements)}
+        recoils = [from_one_based(oracle_recoils(p)) for p in elements]
+        products = [[index[compose(u, v)] for v in elements] for u in elements]
+        return elements, recoils, products
+    engine = WordEngine(sys.matrix)
+    elements, _ = reference_words(sys.matrix)
+    index = {w: i for i, w in enumerate(elements)}
+
+    def times(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+        for s in v:
+            u = engine.canonical(u + (s,))
+        return u
+
+    recoils = [from_bits(s for s in range(sys.rank) if len(times((s,), w)) < len(w))
+               for w in elements]
+    products = [[index[times(u, v)] for v in elements] for u in elements]
+    return elements, recoils, products
 
 
 class UnionFind:

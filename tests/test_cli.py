@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import pstats
+import resource
 import subprocess
 import sys as _sys
 import time
@@ -415,6 +416,39 @@ def test_cover_unwritable_dot_path_is_a_usage_error(tmp_path, capsys):
     assert not dot_file.parent.exists()
 
 
+def _limit_memory():
+    # a child that reads without bound fails at 512 MB instead of filling memory
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("case", ["fifo-matrix", "dev-zero-matrix", "fifo-dot"])
+def test_non_regular_files_end_fast_in_one_short_line(tmp_path, case):
+    # a FIFO with no writer blocks a plain open for reading, one with no
+    # reader a plain open for writing; /dev/zero never ends
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    argv = {"fifo-matrix": ["table", "--group", f"matrix:{fifo}"],
+            "dev-zero-matrix": ["table", "--group", "matrix:/dev/zero"],
+            "fifo-dot": [*COVER_S4, "--dot", str(fifo)]}[case]
+    proc = subprocess.run([_sys.executable, "-m", "coxcover", *argv], capture_output=True,
+                          env=BUFFERED_ENV, timeout=10, preexec_fn=_limit_memory)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+    assert len(proc.stderr) <= 200
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_dot_to_stdout_still_works(s4):
+    # the DOT text is written and closed before the JSON line is flushed
+    proc = subprocess.run(
+        [_sys.executable, "-m", "coxcover", *COVER_S4, "--dot", "/dev/stdout", "--format", "json"],
+        capture_output=True, text=True, env=BUFFERED_ENV, timeout=60)
+    inst = build_fibered_graph(s4, *(from_one_based(k) for k in ((1,), (3,), (1, 3))))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == covering_dot(inst) + json.dumps(inst.to_json()) + "\n"
+
+
 def test_cap_exit_code(capsys):
     assert run_cli(capsys, "--cap", "100", "table", "--group", "S9")[0] == 3
 
@@ -479,6 +513,38 @@ def test_subset_error_echoes_a_huge_argument_in_one_short_line(capsys, flag, val
     assert len(err.encode()) <= 200
 
 
+LONG = "no-such-dir/" + "a" * 3000
+SHORTENED = "'no-such-dir/aaaa'...(3012 characters)"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["table", "--group", f"matrix:{LONG}"],
+     f"error: cannot read matrix file {SHORTENED}: No such file or directory\n"),
+    (["table", "--group", "matrix:no-such-dir/a\nb"],
+     "error: cannot read matrix file 'no-such-dir/a\\nb': No such file or directory\n"),
+    (["table", "--group", "X" * 3000],
+     "error: cannot parse group 'XXXXXXXXXXXXXXXX'...(3000 characters) "
+     "(expected S<n>, I<m> or matrix:<path>)\n"),
+    (["table", "--group", "S4\nS5"],
+     "error: cannot parse group 'S4\\nS5' (expected S<n>, I<m> or matrix:<path>)\n"),
+    ([*COVER_S4, "--dot", LONG],
+     f"error: cannot write DOT file {SHORTENED}: No such file or directory\n"),
+    ([*COVER_S4, "--dot", "no-such-dir/a\nb"],
+     "error: cannot write DOT file 'no-such-dir/a\\nb': No such file or directory\n"),
+    # past PATH_MAX in bytes; each echoed character takes 4 of them
+    (["table", "--group", "matrix:no-such-dir/" + "\U0001F600" * 3000],
+     "error: cannot read matrix file 'no-such-dir/%s'...(3012 characters): "
+     "File name too long\n" % ("\U0001F600" * 4)),
+], ids=["3000-character-matrix-path", "newline-matrix-path", "3000-character-group",
+        "newline-group", "3000-character-dot-path", "newline-dot-path",
+        "3000-emoji-matrix-path"])
+def test_path_and_group_errors_echo_in_one_short_line(capsys, argv, err):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", err)
+    assert len(err.encode()) <= 200
+
+
 def test_cap_error_shortens_a_huge_matrix_entry_and_cap(tmp_path, capsys):
     huge = "9" * 4300
     path = tmp_path / "huge.json"
@@ -525,6 +591,8 @@ UNDECODABLE_MATRIX_FILES = [
     ("not utf-8", b"\xff\xfe"),
     ("huge integer", b'{"m": [[1, ' + b"9" * 5000 + b"]]}"),
     ("deep nesting", b'{"m": ' + b"[" * 100_000),
+    # valid JSON, but no Coxeter matrix needs more than a few kilobytes
+    ("over 1 MB", b" " * (1 << 20) + b'{"m": [[1]]}'),
 ]
 
 
@@ -541,6 +609,7 @@ def test_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, label, content
     assert code == 2, label
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) <= 200
 
 
 @pytest.mark.parametrize("group", ["I1000000", "S10000000", "I30000", "I100000"])

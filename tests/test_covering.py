@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import re
 
 import pytest
@@ -23,7 +24,8 @@ from coxcover.recoil import conjugated_generator, same_class_edge_index
 
 from .support import (
     UnionFind, class_cycle_rank, class_edges, compose, cycle_rank, instance_fields,
-    lift_side, oracle_class, oracle_class_edges, perm, perm_index, subset, unique_lift_edge)
+    lift_side, oracle_class, oracle_class_edges, perm, perm_index, reference_products, subset,
+    unique_lift_edge)
 
 
 def test_s4_instance_1_3_13(s4):
@@ -219,6 +221,25 @@ def test_one_pass_instances_match_single_target_builds(group, request):
                 for name in INSTANCE_FIELDS:
                     assert getattr(inst, name) == getattr(want, name), (
                         f"{name} differs for ({left}, {right}, {target})")
+
+
+@pytest.mark.parametrize("group", ["s4", "i6", "b3", "h3"])
+def test_instances_match_reference_products(group, request):
+    """Every triple's vertices and projection are the pairs, in ascending
+    order, that a product sharing no code with the scan sends into the
+    target class."""
+    sys_ = request.getfixturevalue(group)
+    elements, recoils, products = reference_products(sys_)
+    assert elements == sys_.elements
+    by_class: dict[int, list[int]] = {}
+    for w, mask in enumerate(recoils):
+        by_class.setdefault(mask, []).append(w)
+    for left, right, target in itertools.product(iter_subsets(sys_.rank), repeat=3):
+        inst = build_fibered_graph(sys_, left, right, target)
+        want = [(p, r) for p in by_class[left] for r in by_class[right]
+                if recoils[products[p][r]] == target]
+        assert inst.vertices == want, (left, right, target)
+        assert inst.projection == [products[p][r] for p, r in want], (left, right, target)
 
 
 def test_one_pass_rejects_subsets_outside_rank(s4, monkeypatch):
