@@ -2,14 +2,11 @@
 products, descent-algebra structure constants, and fiber monodromy."""
 
 from .algebra import (
-    AlgebraElement,
     convolution_oracle,
     expansion_rows,
     full_table,
     product_expand,
     table_json,
-    x_from_y,
-    y_from_x,
 )
 from .coxeter import CoxeterSpec, CoxeterSystem, build_system, positional_recoils
 from .covering import (
@@ -35,6 +32,7 @@ from .monodromy import (
     FiberAction,
     Loop,
     component_isomorphisms,
+    lift_loops,
     loop_action,
     monodromy_report,
     relation_loops,

@@ -1,7 +1,8 @@
 """Products of recoil-class sums in the group algebra.
 
 Two independent routes compute the expansion of a product of two class sums
-back into class sums:
+back into class sums (the Y basis), each as a plain dict that maps every
+target subset to its non-zero constant:
 
 - the covering route reads each coefficient off a fibered-product instance
   as its constant fiber size.  `product_expand` and `expansion_rows` take
@@ -18,15 +19,14 @@ back into class sums:
 `full_table` runs both for every pair of subsets and insists they agree.
 Its rows are the instances' own `CoveringInstance.row` dicts, and
 `table_json` wraps them as the document `table --format json` prints.
-The Y basis is the class sums themselves; the X basis collects the class
-sums of all subsets of an index, so the two bases are related by the zeta
-and Moebius transforms of the subset lattice.
+The X basis collects the class sums of all subsets of an index, so a
+coefficient dict moves from Y to X by the superset Moebius transform and
+back by the zeta transform, `_superset_transform` with sign -1 and +1.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple
 
 from .coxeter import CoxeterSystem
 from .covering import iter_fibered_graphs
@@ -35,46 +35,10 @@ from .gensets import format_subset, iter_subsets, one_based
 from .recoil import RecoilClass, recoil_class
 
 
-class AlgebraElement(NamedTuple):
-    """Integer combination of basis elements indexed by generator subsets.
-
-    `basis` is "Y" (class sums) or "X" (subset-accumulated sums).  Zero
-    coefficients are never stored.
-    """
-
-    basis: str
-    coeffs: tuple[tuple[int, int], ...]  # (subset mask, coefficient), mask-sorted
-
-    @classmethod
-    def make(cls, basis: str, coeffs: dict[int, int]) -> AlgebraElement:
-        if basis not in ("Y", "X"):
-            raise ValueError(f"unknown basis {basis!r}")
-        pairs = tuple(sorted((m, c) for m, c in coeffs.items() if c != 0))
-        return cls(basis, pairs)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
-    def coefficient(self, subset: int) -> int:
-        return self.as_dict().get(subset, 0)
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for mask, c in self.coeffs:
-            head = "" if c == 1 else f"{c} "
-            terms.append(f"{head}{self.basis}_{format_subset(mask)}")
-        return " + ".join(terms)
-
-
-def product_expand(sys: CoxeterSystem, left: int, right: int) -> AlgebraElement:
-    """Product of two class sums in the Y basis, via covering degrees."""
-    coeffs = {
-        target: inst.fiber_size
-        for target, inst in iter_fibered_graphs(sys, left, right)
-    }
-    return AlgebraElement.make("Y", coeffs)
+def product_expand(sys: CoxeterSystem, left: int, right: int) -> dict[int, int]:
+    """Product of two class sums in the Y basis, via covering degrees:
+    each target subset mapped to its non-zero constant."""
+    return {target: inst.fiber_size for target, inst in iter_fibered_graphs(sys, left, right)}
 
 
 def _tree_links(sys: CoxeterSystem, cls: RecoilClass) -> list[tuple[int, int]]:
@@ -99,9 +63,10 @@ def _tree_links(sys: CoxeterSystem, cls: RecoilClass) -> list[tuple[int, int]]:
     return links
 
 
-def convolution_oracle(sys: CoxeterSystem, left: int, right: int) -> AlgebraElement:
+def convolution_oracle(sys: CoxeterSystem, left: int, right: int) -> dict[int, int]:
     """Brute-force route: multiply out all pairs, tally per group element,
-    and check the tally is constant on each recoil class.
+    and check the tally is constant on each recoil class.  Returns each
+    target subset mapped to its non-zero constant, as `product_expand`.
 
     Each left element p multiplies the right class as one row: p*alpha_J by
     a word walk, then every other p*r = (p*r')*s along the class's tree of
@@ -127,7 +92,7 @@ def convolution_oracle(sys: CoxeterSystem, left: int, right: int) -> AlgebraElem
                 f"for the product ({format_subset(left)}, {format_subset(right)})"
             )
         coeffs[target] = values.pop()
-    return AlgebraElement.make("Y", coeffs)
+    return coeffs
 
 
 def _superset_transform(coeffs: dict[int, int], sign: int) -> dict[int, int]:
@@ -151,24 +116,6 @@ def _superset_transform(coeffs: dict[int, int], sign: int) -> dict[int, int]:
     return f
 
 
-def x_from_y(elem: AlgebraElement) -> AlgebraElement:
-    """Rewrite a Y-basis combination in the X basis.
-
-    Since each X equals the sum of the Y over all subsets of its index, the
-    X coefficients are the superset Moebius transform of the Y ones.
-    """
-    if elem.basis != "Y":
-        raise ValueError("x_from_y expects a Y-basis element")
-    return AlgebraElement.make("X", _superset_transform(elem.as_dict(), -1))
-
-
-def y_from_x(elem: AlgebraElement) -> AlgebraElement:
-    """Rewrite an X-basis combination in the Y basis (superset zeta)."""
-    if elem.basis != "X":
-        raise ValueError("y_from_x expects an X-basis element")
-    return AlgebraElement.make("Y", _superset_transform(elem.as_dict(), +1))
-
-
 def expansion_rows(sys: CoxeterSystem, left: int, right: int) -> list[dict]:
     """The `CoveringInstance.row` of every non-empty instance of one product,
     sorted by K and cross-checked against the oracle."""
@@ -177,7 +124,7 @@ def expansion_rows(sys: CoxeterSystem, left: int, right: int) -> list[dict]:
     for target, inst in iter_fibered_graphs(sys, left, right):
         covering[target] = inst.fiber_size
         rows.append(inst.row())
-    oracle = convolution_oracle(sys, left, right).as_dict()
+    oracle = convolution_oracle(sys, left, right)
     if covering != oracle:
         raise OracleMismatch(
             f"covering route {covering} != oracle {oracle} for "

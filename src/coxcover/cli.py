@@ -35,7 +35,7 @@ import stat
 import sys as _sys
 
 from .algebra import expansion_rows, table_json
-from .coxeter import CoxeterSpec, CoxeterSystem, DEFAULT_ELEMENT_CAP, build_system
+from .coxeter import CoxeterSpec, CoxeterSystem, DEFAULT_ELEMENT_CAP, _decimal, build_system
 from .covering import build_fibered_graph, multiplicity_partition, verify_covering
 from .dot import covering_dot
 from .errors import CapExceeded, CoxeterError, InvalidSpec
@@ -79,7 +79,12 @@ def parse_group(text: str, cap: int | None) -> CoxeterSpec:
             data["m"], element_cap=data.get("element_cap", DEFAULT_ELEMENT_CAP))
         rank = data.get("rank")
         if rank is not None and (type(rank) is not int or rank != spec.rank):
-            raise UsageError(f"declared rank {rank!r} does not match the matrix")
+            if type(rank) is int:
+                shown = _decimal(rank) if rank >= 0 else "-" + _decimal(-rank)
+            else:  # a string shortened, an array or object not echoed
+                shown = (_echo(rank, ECHO_WIDTH) if type(rank) is str
+                         else {list: "[...]", dict: "{...}"}.get(type(rank), repr(rank)))
+            raise UsageError(f"declared rank {shown} does not match the matrix")
         return spec if cap is None else spec._replace(element_cap=cap)
     raise UsageError(f"cannot parse group {_echo(text, ECHO_WIDTH)} "
                      "(expected S<n>, I<m> or matrix:<path>)")

@@ -28,17 +28,19 @@ class; `verify_covering` checks the covering axioms directly instead of
 assuming them, edge preservation and unique lifting together as one
 local-bijection test per vertex (its neighbours must project one-to-one
 onto the class neighbours of its image).  It returns the witnesses of
-any violation, and `cover` and `verify` print the first.  The per-fiber
-counts give the structure constants of the descent algebra.
+any violation, and `cover` prints the first.  The per-fiber counts give
+the structure constants of the descent algebra.
 
 Each edge u -- v lifts the Cayley step from pi(u) to pi(v), so the
 wiring already holds the unique lift of every in-class step.
 `CoveringInstance.lift_table` reads those lifts off the adjacency on first
-use and keeps them as vertex ids, raising at a step lifted other than
-once.  `monodromy.loop_action` moves fiber points along relation loops
-through it, `monodromy_report` confirms the square loops by checking that
-it is an involution, and the invariant sweep checks the table against a
-brute force that tries both refactorizations of every step.
+use and keeps them as vertex ids, raising with the first
+`verify_covering` witness at a step lifted other than once: the same
+local-bijection test, which is the `verify` sweep's one covering-axiom
+test.  `monodromy.loop_action` moves fiber points along relation loops
+through the table, `monodromy.lift_loops` confirms the square loops by
+checking that it is an involution, and the sweep checks the table against
+a brute force that tries both refactorizations of every step.
 """
 
 from __future__ import annotations

@@ -16,12 +16,14 @@ order 1 or 2; polygon orders are measured and reported without asserting
 a bound.
 
 A square (s, s) is the relation s^2 = 1: its lift from u ends at u exactly
-when lifts[s][lifts[s][u]] == u.  `monodromy_report` walks the loops once,
-in order, and passes a square without `loop_action` when the lift table
-is an involution on its step, with no -1, from every point over its base;
+when lifts[s][lifts[s][u]] == u.  `lift_loops` walks the loops once, in
+order, and passes a square without `loop_action` when the lift table is
+an involution on its step, with no -1, from every point over its base;
 any other square goes through `loop_action`, so an error raised and its
-witness are those of the walk over every loop.  It returns the document
-that the `monodromy` command prints.
+witness are those of the walk over every loop.  It raises on any
+violation and returns only the braid and polygon order counts: the
+`verify` sweep calls it alone.  `monodromy_report` adds the document that
+the `monodromy` command prints.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ def relation_loops(sys: CoxeterSystem, cls: RecoilClass) -> list[Loop]:
     stops at the first step that leaves the class or drops below the
     member, so a loop is kept at its minimum only: one square per class
     edge, at its smaller end.  Loops come out by base, then by word.
-    Kept on the class, next to the loop counts by kind, which
-    `monodromy_report` reads.
+    Kept on the class, next to the loop counts by kind, which `lift_loops`
+    and `monodromy_report` read.
     """
     if cls.loops is not None:
         return cls.loops[0]
@@ -127,13 +129,10 @@ def loop_action(instance: CoveringInstance, loop: Loop) -> FiberAction:
     return FiberAction(loop, permutation, order)
 
 
-def monodromy_report(instance: CoveringInstance) -> dict:
-    """Lift every relation loop of the target class and tabulate the orders,
-    as the document `monodromy` prints: the instance's `subsets`, then
-    `braid_loops`, `orders` and `no_braid_loops`, `"empty": true` for an
-    empty instance, and `polygon_loops` and `polygon_orders` when the class
-    has polygon loops.  Orders are counted under their decimal string, in
-    ascending order.
+def lift_loops(instance: CoveringInstance) -> tuple[dict[int, int], dict[int, int]]:
+    """Lift every relation loop of the target class through the instance
+    and return the orders the braid loops and the polygon loops act with,
+    each order mapped to its loop count.
 
     Squares and commuting loops are required to act trivially and braid
     loops with order 1 or 2 (OrderViolation otherwise; neither can happen).
@@ -152,41 +151,52 @@ def monodromy_report(instance: CoveringInstance) -> dict:
     loops, counts = cls.loops
     braid_orders: dict[int, int] = {}
     polygon_orders: dict[int, int] = {}
-    if loops and not instance.is_empty:
-        lifts, projection, fibers = instance.lift_table(), instance.projection, instance.fibers
-        for loop in loops:
-            if loop.kind == "square":
-                row, base = lifts[loop.word[0]], loop.base
-                for u in fibers[base]:
-                    v = row[u]
-                    if v < 0 or row[v] != u or projection[u] != base:
-                        break
-                else:
-                    continue  # s^2 = 1 lifts to the identity of the fiber
-            action = loop_action(instance, loop)
-            if loop.kind in ("square", "commuting"):
-                if action.order != 1:
-                    raise OrderViolation(
-                        f"{loop.kind} loop at {sys.format_index(loop.base)} "
-                        f"acted with order {action.order}"
-                    )
-            elif loop.kind == "braid":
-                if action.order not in (1, 2):
-                    raise OrderViolation(
-                        f"braid loop at {sys.format_index(loop.base)} "
-                        f"acted with order {action.order}"
-                    )
-                braid_orders[action.order] = braid_orders.get(action.order, 0) + 1
+    if instance.is_empty:
+        return braid_orders, polygon_orders
+    lifts, projection, fibers = instance.lift_table(), instance.projection, instance.fibers
+    for loop in loops:
+        if loop.kind == "square":
+            row, base = lifts[loop.word[0]], loop.base
+            for u in fibers[base]:
+                v = row[u]
+                if v < 0 or row[v] != u or projection[u] != base:
+                    break
             else:
-                polygon_orders[action.order] = polygon_orders.get(action.order, 0) + 1
-    no_braid = counts["braid"] == 0 and counts["polygon"] == 0
-    if no_braid and not instance.is_empty:
+                continue  # s^2 = 1 lifts to the identity of the fiber
+        action = loop_action(instance, loop)
+        if loop.kind in ("square", "commuting"):
+            if action.order != 1:
+                raise OrderViolation(
+                    f"{loop.kind} loop at {sys.format_index(loop.base)} "
+                    f"acted with order {action.order}"
+                )
+        elif loop.kind == "braid":
+            if action.order not in (1, 2):
+                raise OrderViolation(
+                    f"braid loop at {sys.format_index(loop.base)} "
+                    f"acted with order {action.order}"
+                )
+            braid_orders[action.order] = braid_orders.get(action.order, 0) + 1
+        else:
+            polygon_orders[action.order] = polygon_orders.get(action.order, 0) + 1
+    if counts["braid"] == 0 and counts["polygon"] == 0:
         _check_trivial_cover(instance)
+    return braid_orders, polygon_orders
+
+
+def monodromy_report(instance: CoveringInstance) -> dict:
+    """`lift_loops`, tabulated as the document `monodromy` prints: the
+    instance's `subsets`, then `braid_loops`, `orders` and
+    `no_braid_loops`, `"empty": true` for an empty instance, and
+    `polygon_loops` and `polygon_orders` when the class has polygon loops.
+    Orders are counted under their decimal string, in ascending order."""
+    braid_orders, polygon_orders = lift_loops(instance)
+    counts = instance.target_class.loops[1]
     report = {
         **instance.subsets(),
         "braid_loops": counts["braid"],
         "orders": {str(k): n for k, n in sorted(braid_orders.items())},
-        "no_braid_loops": no_braid,
+        "no_braid_loops": counts["braid"] == 0 and counts["polygon"] == 0,
     }
     if instance.is_empty:
         report["empty"] = True

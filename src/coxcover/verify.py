@@ -8,26 +8,28 @@ on the first witness.
 
 The covering-axiom, lift-dichotomy and monodromy checks share one streamed
 sweep over the covering instances: every non-empty instance of every
-product is built once, handed to all three, and dropped before the next;
-only its fiber size is kept.  Each product's convolution oracle runs in
-the sweep too, after its instances, and the algebra check compares the
-two.  The covering axioms are one local-bijection test per vertex.  The
-lift dichotomy fills the instance's lift table, which reads each in-class
-step's lift off the wiring, and checks every entry against a brute force
-that tries both refactorizations by multiplication; so the constructor's
+product is built once, walked once, and dropped before the next; only its
+fiber size is kept.  The product's convolution oracle runs in the sweep
+too and gives a dict of the same shape, which the algebra check compares
+with the fiber sizes as it is.  The covering axioms are tested once, when the lift dichotomy fills the
+instance's lift table: the fill reads each step's lift off the wiring and
+raises, with the first `verify_covering` witness, at a vertex whose
+neighbours do not project one-to-one onto the class neighbours of its
+image.  The dichotomy then checks every entry against a brute force that
+tries both refactorizations by multiplication; so the constructor's
 wiring, left-move filter included, is checked against a rule it does not
-use.  The dichotomy's conjugates rho s rho^-1 are those the class-edge
-check multiplied out.  The monodromy check reads its loops off that
-table, and counts one check per instance.
+use.  Its conjugates rho s rho^-1 are those the class-edge check
+multiplied out.  The monodromy check lifts the loops through that table
+with `lift_loops`, which builds no document, one check per instance.
 
 One error rule: whatever raises for a product in the sweep (a monodromy
 violation, a braid loop of order above 2 included, a fiber that is not
 constant, a step that an instance's wiring lifts other than once, a class
-that cannot be built, or the product's oracle) raises
-at that product, in product order, before the algebra check runs; the
-CLI then prints the group header and one `invariant failure:` line, and
-exits 1.  `fan_out` computes the products on every CPU, with the results
-and the first error of a serial sweep.
+that cannot be built, or the product's oracle) raises at that product,
+in product order, before the algebra check runs; the CLI then prints the
+group header and one `invariant failure:` line, and exits 1.  `fan_out`
+computes the products on every CPU, with the results and the first error
+of a serial sweep.
 """
 
 from __future__ import annotations
@@ -35,12 +37,12 @@ from __future__ import annotations
 import random
 from functools import partial
 
-from .algebra import AlgebraElement, convolution_oracle, x_from_y, y_from_x
+from .algebra import _superset_transform, convolution_oracle
 from .coxeter import CoxeterSystem, positional_recoils
-from .covering import iter_fibered_graphs, verify_covering
+from .covering import iter_fibered_graphs
 from .fanout import fan_out
 from .gensets import format_subset, iter_subsets
-from .monodromy import monodromy_report
+from .monodromy import lift_loops
 from .recoil import (
     alpha_oneline,
     beta_oneline,
@@ -52,7 +54,6 @@ from .recoil import (
 )
 
 
-Coeffs = tuple[tuple[int, int], ...]  # an AlgebraElement's (subset, coefficient) pairs
 # w*rank + s -> w s w^-1 if it is a simple generator, else None
 Conjugates = list[int | None]
 
@@ -161,8 +162,9 @@ def _check_classes(sys: CoxeterSystem) -> CheckResult:
 
 
 # the fiber sizes by target, the covering checks and witnesses and the
-# oracle's coefficients of one product, as plain data that `marshal` can send
-PairResult = tuple[dict[int, int], int, list[str], Coeffs]
+# oracle's constants by target of one product, as plain data that
+# `marshal` can send
+PairResult = tuple[dict[int, int], int, list[str], dict[int, int]]
 
 
 def _pairs(sys: CoxeterSystem) -> list[tuple[int, int]]:
@@ -187,23 +189,19 @@ def _check_coverings(sys: CoxeterSystem, conjugates: Conjugates,
 def _sweep_pair(sys: CoxeterSystem, conjugates: Conjugates,
                 pair: tuple[int, int]) -> PairResult:
     """Every non-empty instance of the product `pair`, built once and
-    handed to the covering-axiom check, the lift dichotomy and
-    `monodromy_report`, and then the product's convolution oracle.  Any
-    of them that raises raises here."""
+    walked once: the lift dichotomy fills its lift table, which is the
+    covering-axiom test, and checks it, then `lift_loops` lifts the
+    relation loops through it; then the product's convolution oracle.
+    Any of them that raises raises here."""
     left, right = pair
     res = CheckResult("covering axioms")
     sizes = {}
     for target, inst in iter_fibered_graphs(sys, left, right):
         sizes[target] = inst.fiber_size
-        res.checked += 1
-        witnesses = verify_covering(inst)
-        if witnesses:
-            res.fail(f"covering axioms failed for ({format_subset(left)}, "
-                     f"{format_subset(right)}, {format_subset(target)}): {witnesses[0]}")
+        res.checked += 1  # the covering axioms: the lift table filled
         _check_lift_dichotomy(sys, inst, res, conjugates)
-        monodromy_report(inst)  # raises on any monodromy violation
-    oracle = convolution_oracle(sys, left, right).coeffs
-    return sizes, res.checked, res.failures, oracle
+        lift_loops(inst)
+    return sizes, res.checked, res.failures, convolution_oracle(sys, left, right)
 
 
 def _check_lift_dichotomy(sys, inst, res: CheckResult,
@@ -213,7 +211,8 @@ def _check_lift_dichotomy(sys, inst, res: CheckResult,
     hold the vertex it gives, (pi, rho*s) or (pi*t, rho) with t = rho s
     rho^-1.  The conjugate t is read from `conjugates[rho*rank + s]`,
     which `_check_class_edges` multiplied out; the lift table reads no
-    conjugate."""
+    conjugate.  Filling the table is the sweep's covering-axiom test: a
+    miswired vertex raises there, before any entry is compared."""
     rank, right, recoils = sys.rank, sys.right_cayley, sys.recoils
     vertices, lifts = inst.vertices, inst.lift_table()
     checked = 0
@@ -244,16 +243,14 @@ def _check_algebra(sys: CoxeterSystem, swept: list[PairResult]) -> CheckResult:
     res = CheckResult("products vs oracle")
     class_sizes = {subset: len(recoil_class(sys, subset).members)
                    for subset in iter_subsets(sys.rank)}
-    for (left, right), (sizes, _, _, coeffs) in zip(_pairs(sys), swept):
+    for (left, right), (sizes, _, _, oracle) in zip(_pairs(sys), swept):
         res.checked += 1
-        expansion = AlgebraElement.make("Y", sizes)
-        oracle = AlgebraElement("Y", coeffs)
-        if expansion != oracle:
+        if sizes != oracle:
             res.fail(f"oracle mismatch at ({format_subset(left)}, {format_subset(right)})")
-        if any(c <= 0 for _, c in expansion.coeffs):
+        if any(c <= 0 for c in sizes.values()):
             res.fail(f"nonpositive coefficient at ({format_subset(left)}, "
                      f"{format_subset(right)})")
-        weighted = sum(c * class_sizes[m] for m, c in expansion.coeffs)
+        weighted = sum(c * class_sizes[m] for m, c in sizes.items())
         if weighted != class_sizes[left] * class_sizes[right]:
             res.fail(f"counting identity failed at ({format_subset(left)}, "
                      f"{format_subset(right)})")
@@ -261,14 +258,13 @@ def _check_algebra(sys: CoxeterSystem, swept: list[PairResult]) -> CheckResult:
     for _ in range(25):
         res.checked += 1
         coeffs = {m: rng.randint(-9, 9) for m in iter_subsets(sys.rank)}
-        start = AlgebraElement.make("Y", coeffs)
-        if y_from_x(x_from_y(start)) != start:
+        if _superset_transform(_superset_transform(coeffs, -1), +1) != coeffs:
             res.fail("basis round trip is not the identity")
     return res
 
 
 def _check_monodromy(sys: CoxeterSystem, swept: list[PairResult]) -> CheckResult:
-    """`monodromy_report` ran inside the covering sweep, on every non-empty
+    """`lift_loops` ran inside the covering sweep, on every non-empty
     instance, and raised on any violation, among them a braid loop acting
     with an order other than 1 or 2; one check per instance, so one per
     fiber size kept.  Every class is the target of a non-empty instance

@@ -5,8 +5,9 @@ positional braid criterion, relation loops found one walk at a time,
 loop actions lifted one step at a time by the reference lift
 `unique_lift_edge`, monodromy reports that walk every loop, base-point
 independence of loop actions), the S_n tables built by swapping
-one-line entries, the convolution tallied by one word walk per pair, and
-the algebra product, which only the tests use, a product table built from
+one-line entries, the convolution tallied by one word walk per pair, the
+algebra product and the X/Y basis changes on coefficient dicts, which only
+the tests use, a product table built from
 one-line forms or canonical words alone, and a call counter that forked
 workers share."""
 
@@ -17,7 +18,7 @@ from collections import Counter
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from coxcover.algebra import AlgebraElement, product_expand, x_from_y, y_from_x
+from coxcover.algebra import _superset_transform, product_expand
 from coxcover.covering import CoveringInstance
 from coxcover.coxeter import _invert_oneline, _permutation_order
 from coxcover.errors import ClassInconstant, InvariantViolation, NotAClassEdge, OrderViolation
@@ -392,7 +393,7 @@ def reference_monodromy_report(instance) -> dict:
     return report
 
 
-def reference_convolution(sys, left: int, right: int) -> AlgebraElement:
+def reference_convolution(sys, left: int, right: int) -> dict[int, int]:
     """The convolution by word walks: every pair (p, r) multiplied by
     walking r's reduced word, the products tallied per element, and the
     tally checked constant on each recoil class.  The tests compare
@@ -413,26 +414,28 @@ def reference_convolution(sys, left: int, right: int) -> AlgebraElement:
                 f"for the product ({format_subset(left)}, {format_subset(right)})"
             )
         coeffs[target] = values.pop()
-    return AlgebraElement.make("Y", coeffs)
+    return coeffs
 
 
-def algebra_product(sys, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Product of two algebra elements, in the basis both arguments share,
-    from the library's class-pair expansions.
+def x_from_y(coeffs: dict[int, int]) -> dict[int, int]:
+    """Y-basis coefficients rewritten in the X basis, zeros dropped."""
+    return {m: c for m, c in _superset_transform(coeffs, -1).items() if c}
 
-    X-basis products are computed through the Y basis, so their structure
-    constants are exposed without a separate table.
-    """
-    if a.basis != b.basis:
-        raise ValueError("operands must share a basis")
-    if a.basis == "X":
-        return x_from_y(algebra_product(sys, y_from_x(a), y_from_x(b)))
+
+def y_from_x(coeffs: dict[int, int]) -> dict[int, int]:
+    """X-basis coefficients rewritten in the Y basis, zeros dropped."""
+    return {m: c for m, c in _superset_transform(coeffs, +1).items() if c}
+
+
+def algebra_product(sys, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of two Y-basis combinations, subset -> coefficient, from
+    the library's class-pair expansions; zeros dropped."""
     out: Counter[int] = Counter()
-    for mi, ci in a.coeffs:
-        for mj, cj in b.coeffs:
-            for mk, ck in product_expand(sys, mi, mj).coeffs:
+    for mi, ci in a.items():
+        for mj, cj in b.items():
+            for mk, ck in product_expand(sys, mi, mj).items():
                 out[mk] += ci * cj * ck
-    return AlgebraElement.make("Y", dict(out))
+    return {m: c for m, c in out.items() if c}
 
 
 class Tally:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import copy
 import hashlib
 import itertools
 import json
@@ -312,7 +311,7 @@ def test_verify_monodromy_violation_ends_the_run(capsys, monkeypatch):
     def broken(instance):
         raise InvariantViolation("injected monodromy failure")
 
-    monkeypatch.setattr(verify, "monodromy_report", broken)
+    monkeypatch.setattr(verify, "lift_loops", broken)
     code = main(["verify", "--group", "S3"])
     captured = capsys.readouterr()
     assert code == 1
@@ -320,24 +319,28 @@ def test_verify_monodromy_violation_ends_the_run(capsys, monkeypatch):
     assert captured.err == "invariant failure: injected monodromy failure\n"
 
 
-def test_verify_prints_the_first_covering_witness_itself(capsys, monkeypatch):
-    # every instance loses its first edge, so the covering check fails at
-    # the first instance that has one; the line holds its first witness
-    real = verify.verify_covering
+def test_verify_prints_the_first_lift_dichotomy_witness_itself(capsys, monkeypatch):
+    # one entry of each lift table keeps its vertex in place: the first
+    # lift that climbs from a square's base, so S3's loops, all squares,
+    # still close; only the lift dichotomy can tell, at the first instance
+    # with a class edge, and the covering line holds its first witness
+    fill = covering.CoveringInstance.lift_table
 
-    def first_edge_dropped(inst):
-        fake = copy.copy(inst)
-        fake.adjacency = [list(nbrs) for nbrs in inst.adjacency]
-        if fake.adjacency and fake.adjacency[0]:
-            v = fake.adjacency[0].pop(0)
-            fake.adjacency[v].remove(0)
-        return real(fake)
+    def tampered(self):
+        if self.lifts is None:
+            lifts, over = fill(self), self.projection
+            climbs = [(s, u) for s, row in enumerate(lifts) for u, v in enumerate(row)
+                      if v >= 0 and over[v] > over[u]]
+            if climbs:
+                s, u = climbs[0]
+                lifts[s][u] = u
+        return fill(self)
 
-    monkeypatch.setattr(verify, "verify_covering", first_edge_dropped)
+    monkeypatch.setattr(covering.CoveringInstance, "lift_table", tampered)
     code, out = run_cli(capsys, "verify", "--group", "S3")
     assert code == 1
-    assert out.splitlines()[-1] == ("covering axioms: FAIL: covering axioms failed for "
-                                    "({}, {1}, {1}): 0 lifts of edge 213 -- 231 at vertex (0, 2)")
+    assert out.splitlines()[-1] == \
+        "covering axioms: FAIL: lift table disagrees with brute force at (0, 2) s2"
 
 
 def _drop_edge(adjacency, u, v):
@@ -557,6 +560,21 @@ def test_cap_error_shortens_a_huge_matrix_entry_and_cap(tmp_path, capsys):
     assert main(["--cap", huge, "table", "--group", f"matrix:{affine}"]) == 3
     assert capsys.readouterr().err.endswith(
         "too large for element_cap 99999999...(4300 digits)\n")
+
+
+@pytest.mark.parametrize("rank, shown", [
+    ("9" * 4000, "99999999...(4000 digits)"),
+    ('"%s"' % ("x" * 4000), "'xxxxxxxxxxxxxxxx'...(4000 characters)"),
+    ("[%s]" % ", ".join(["3"] * 2000), "[...]"),
+], ids=["huge-int", "long-string", "long-array"])
+def test_declared_rank_is_echoed_in_one_short_line(tmp_path, capsys, rank, shown):
+    path = tmp_path / "rank.json"
+    path.write_text('{"rank": %s, "m": [[1, 3], [3, 1]]}' % rank)
+    assert main(["table", "--group", f"matrix:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == \
+        ("", f"error: declared rank {shown} does not match the matrix\n")
+    assert len(captured.err.encode()) <= 200
 
 
 def test_cap_flag_overrides_matrix_file(tmp_path, capsys):

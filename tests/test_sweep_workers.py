@@ -125,15 +125,15 @@ def test_two_failures_give_the_serial_error(earlier, s4, capsys, monkeypatch):
     first = shares[earlier][0]
     second = next(pos for pos in shares[1 - earlier] if pos > first)
     failing = {pairs[first], pairs[second]}
-    report = verify.monodromy_report
+    walk = verify.lift_loops
 
     def injected(inst):
         if (inst.left, inst.right) in failing:
             raise InvariantViolation(f"injected failure at ({format_subset(inst.left)}, "
                                      f"{format_subset(inst.right)})")
-        return report(inst)
+        return walk(inst)
 
-    monkeypatch.setattr(verify, "monodromy_report", injected)
+    monkeypatch.setattr(verify, "lift_loops", injected)
     set_cpus(monkeypatch, 1)
     serial = run_verify(capsys, "S4")
     left, right = pairs[first]
@@ -152,7 +152,7 @@ def test_an_oracle_error_in_a_worker_gives_the_serial_error(sweep_fails, s4, cap
     worker_share = fanout._shares(len(pairs), 2)[1]
     bad, later = pairs[worker_share[0]], pairs[-1]
     assert later != bad
-    oracle, covering = verify.convolution_oracle, verify.verify_covering
+    oracle, walk = verify.convolution_oracle, verify.lift_loops
 
     def failing_oracle(sys_, left, right):
         if (left, right) == bad:
@@ -161,15 +161,15 @@ def test_an_oracle_error_in_a_worker_gives_the_serial_error(sweep_fails, s4, cap
                                   f"{format_subset(right)})")
         return oracle(sys_, left, right)
 
-    def failing_covering(inst):
+    def failing_walk(inst):
         if (inst.left, inst.right) == later:
-            raise InvariantViolation("injected covering failure")
-        return covering(inst)
+            raise InvariantViolation("injected sweep failure")
+        return walk(inst)
 
     monkeypatch.setattr(verify, "convolution_oracle", failing_oracle)
     if sweep_fails:
-        monkeypatch.setattr(verify, "verify_covering", failing_covering)
-    # the oracle raises at its own product, so it wins over a covering
+        monkeypatch.setattr(verify, "lift_loops", failing_walk)
+    # the oracle raises at its own product, so it wins over a sweep
     # failure at a later product, as any fault of the sweep would
     set_cpus(monkeypatch, 1)
     serial = run_verify(capsys, "S4")

@@ -31,10 +31,27 @@ def test_sweep_builds_each_instance_once(group, request, monkeypatch, tally):
     results = run_invariant_sweep(sys_)
     built = len(tally.pids())
     assert all(r.ok for r in results)
-    non_empty = sum(len(convolution_oracle(sys_, left, right).coeffs)
+    non_empty = sum(len(convolution_oracle(sys_, left, right))
                     for left in iter_subsets(sys_.rank) for right in iter_subsets(sys_.rank))
     assert built == non_empty
     assert dict((r.name, r.checked) for r in results)["monodromy"] == non_empty
+
+
+@pytest.mark.parametrize("group", ["s4", "i6"])
+def test_sweep_tests_the_wiring_once_and_builds_no_document(group, request, monkeypatch):
+    # filling the lift table is the sweep's covering-axiom test, and the
+    # loops are lifted without the `monodromy` document: neither the
+    # separate axiom test nor the document's subset keys are reached
+    sys_ = request.getfixturevalue(group)
+
+    def refuse(*args):
+        raise AssertionError("the sweep must do each job once")
+
+    monkeypatch.setattr(covering, "verify_covering", refuse)
+    monkeypatch.setattr(verify, "verify_covering", refuse, raising=False)
+    monkeypatch.setattr(covering.CoveringInstance, "subsets", refuse)
+    results = run_invariant_sweep(sys_)
+    assert [r.name for r in results if not r.ok] == []
 
 
 @pytest.mark.parametrize("group", ["s4", "i6"])
@@ -54,7 +71,7 @@ def test_sweep_fills_each_lift_table_once(group, request, monkeypatch, tally):
     non_empty = results["monodromy"]
     # one monodromy check per non-zero structure constant, counted apart
     # from the sweep's records
-    assert non_empty == sum(len(algebra.product_expand(sys_, left, right).coeffs)
+    assert non_empty == sum(len(algebra.product_expand(sys_, left, right))
                             for left in iter_subsets(sys_.rank)
                             for right in iter_subsets(sys_.rank))
     assert len(tally.pids()) == non_empty
